@@ -20,6 +20,9 @@ cargo test -q
 echo "==> cargo test --workspace (minus tutel-bench)"
 cargo test -q --workspace --exclude tutel-bench
 
+echo "==> moebench unit tests (the wall-clock benchmark's own crate)"
+cargo test --release --offline --manifest-path moebench/Cargo.toml
+
 echo "==> determinism suite: TUTEL_SIMD={0,1} x TUTEL_THREADS={1,4}"
 # The kernel-table axis crossed with the pool axis: every cell of the
 # sweep must be bit-identical to every other (the suite pins the
@@ -35,6 +38,10 @@ TUTEL_THREADS=4 cargo test -q --test overlap
 
 echo "==> compute_runtime bench smoke (2s warmup-only run)"
 cargo bench -q -p tutel-bench --bench compute_runtime -- --warm-up-time 1 --measurement-time 1 --sample-size 10 compute_runtime_arena > /dev/null
+
+echo "==> threaded_runtime bench smoke (collectives + no-op launch at world 2/8)"
+cargo bench -q -p tutel-bench --bench threaded_runtime -- \
+    --warm-up-time 1 --measurement-time 1 noop_launch > /dev/null
 
 echo "==> pipeline_overlap bench smoke (executed degree sweep, incl. d1/d4)"
 cargo bench -q -p tutel-bench --bench pipeline_overlap > /dev/null

@@ -1,6 +1,7 @@
 //! Benches for the threaded message-passing runtime: per-collective
 //! overhead of the real multi-thread execution vs the sequential
-//! functional reference.
+//! functional reference, and the fixed cost of one launch (an empty
+//! rank program: hand each rank to a parked worker, wait for all).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tutel_comm::runtime::run_threaded;
@@ -40,6 +41,12 @@ fn bench_runtime(c: &mut Criterion) {
                     comm.all_reduce_sum(&mine).unwrap()
                 })
             })
+        });
+    }
+    for n in [2usize, 8] {
+        let topo = Topology::new(1, n);
+        group.bench_with_input(BenchmarkId::new("noop_launch", n), &n, |b, _| {
+            b.iter(|| run_threaded(topo, |_comm| ()))
         });
     }
     group.finish();

@@ -25,6 +25,30 @@
 //! `Communicator` can instead be backed by the adversarial
 //! deterministic scheduler in [`crate::sched`].
 //!
+//! # Rank workers
+//!
+//! Rank threads outlive the call that uses them, as a real job's
+//! ranks outlive each step. A process-wide set of parked **rank
+//! workers** serves every `run_threaded*` call: a call checks out one
+//! idle worker per rank (spawning a new one only when none is idle),
+//! hands each its rank job — build the rank's [`Communicator`], run
+//! the program — and blocks until every rank has reported, then parks
+//! the workers again. A launch therefore costs two channel hand-offs
+//! per rank instead of a thread spawn and join. Checked-out workers
+//! belong to one call, so concurrent callers and a `run_threaded`
+//! nested inside a rank program never wait on each other's workers;
+//! the set grows to the peak number of ranks running at once.
+//!
+//! Each job runs under `catch_unwind`, so a panicking program (or the
+//! communicator's join-time mailbox audit) never kills its worker: the
+//! panic is reported, and the caller re-raises it once all ranks have
+//! reported. Jobs borrow the caller's program and buffers, so the
+//! caller never returns or unwinds before every report is in; if a
+//! report can no longer arrive, the process aborts instead. A program
+//! that changes thread-local state must restore it — the next job on
+//! the same worker sees it (`tutel_rt`'s scoped setters do this, even
+//! on unwind).
+//!
 //! # Reliability layer
 //!
 //! [`run_threaded_reliable`] arms an optional end-to-end reliability
@@ -55,7 +79,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Barrier};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -1587,8 +1612,13 @@ impl Drop for Communicator {
     }
 }
 
-/// Spawns one OS thread per rank and runs `program` on each with its
-/// own [`Communicator`]; returns the per-rank results in rank order.
+/// Runs `program` once per rank, each on its own parked rank worker
+/// thread with its own [`Communicator`], and returns the per-rank
+/// results in rank order.
+///
+/// Workers are reused across calls (see the module docs): a call
+/// spawns threads only while the process has fewer idle workers than
+/// ranks. The call blocks until every rank has finished.
 ///
 /// # Example
 ///
@@ -1606,8 +1636,12 @@ impl Drop for Communicator {
 ///
 /// # Panics
 ///
-/// Panics if any rank's program panics (the panic payload is
-/// re-raised on the caller's thread).
+/// Panics if any rank's program panics: once every rank has finished,
+/// the lowest such rank's payload is re-raised on the caller's thread,
+/// and its worker stays usable. Panics if a needed worker thread
+/// cannot be spawned. Aborts the process if a rank can never report
+/// (its worker is gone), since returning would free data that rank
+/// may still borrow.
 pub fn run_threaded<F, R>(topology: Topology, program: F) -> Vec<R>
 where
     F: Fn(Communicator) -> R + Send + Sync,
@@ -1666,6 +1700,58 @@ where
     run_threaded_impl(topology, Some(cfg), None, program)
 }
 
+/// A rank job as a parked worker receives it. The job catches its
+/// program's panic and reports it, so calling one never unwinds.
+type RankJob = Box<dyn FnOnce() + Send + 'static>;
+
+/// Parked rank workers, each reachable through its job channel.
+/// Process-wide and shared by every caller: a call checks out the
+/// workers it needs and returns them once all of its ranks have
+/// reported, so concurrent and nested calls never share a worker and
+/// the set grows to the peak number of ranks running at once.
+static IDLE_RANK_WORKERS: Mutex<Vec<Sender<RankJob>>> = Mutex::new(Vec::new());
+
+fn idle_rank_workers() -> MutexGuard<'static, Vec<Sender<RankJob>>> {
+    // The guarded list is never left half-updated, so a poisoned lock
+    // is still a valid list.
+    IDLE_RANK_WORKERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Checks out `n` workers: idle ones first, newly spawned ones for
+/// the rest.
+fn checkout_rank_workers(n: usize) -> Vec<Sender<RankJob>> {
+    let mut workers = {
+        let mut idle = idle_rank_workers();
+        let keep = idle.len().saturating_sub(n);
+        idle.split_off(keep)
+    };
+    while workers.len() < n {
+        let (jobs, inbox) = unbounded::<RankJob>();
+        std::thread::Builder::new()
+            .name("tutel-rank".into())
+            // A worker runs jobs until its channel closes, which the
+            // process-wide list never does.
+            .spawn(move || {
+                while let Ok(job) = inbox.recv() {
+                    job();
+                }
+            })
+            // check:allow(no_panic, thread spawn failure before any job is dispatched; same contract as std::thread::spawn)
+            .expect("failed to spawn a rank worker thread");
+        workers.push(jobs);
+    }
+    workers
+}
+
+/// Ends the process: a rank's report can no longer arrive, and
+/// returning or unwinding would free data its job may still borrow.
+fn abort_lost_rank(what: &str) -> ! {
+    eprintln!("tutel-comm: {what}; aborting because a rank job may still borrow the caller's data");
+    std::process::abort()
+}
+
 fn run_threaded_impl<F, R>(
     topology: Topology,
     cfg: Option<ReliableConfig>,
@@ -1688,11 +1774,15 @@ where
     let program = &program;
     let senders = &senders;
     let cfg = &cfg;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (rank, receiver) in receivers.into_iter().enumerate() {
-            let barrier = Arc::clone(&barrier);
-            handles.push(scope.spawn(move || {
+    // Checked out before any job is dispatched, so a spawn failure
+    // unwinds with nothing borrowed.
+    let workers = checkout_rank_workers(n);
+    let (report, reports) = unbounded::<(usize, std::thread::Result<R>)>();
+    for (rank, (worker, receiver)) in workers.iter().zip(receivers).enumerate() {
+        let barrier = Arc::clone(&barrier);
+        let report = report.clone();
+        let job = move || {
+            let out = catch_unwind(AssertUnwindSafe(|| {
                 let comm = Communicator {
                     rank,
                     topology,
@@ -1719,15 +1809,35 @@ where
                 };
                 program(comm)
             }));
+            // The last use of anything the caller lends: the caller
+            // holds `reports` open until all `n` reports are in, so this
+            // send cannot fail.
+            let _ = report.send((rank, out));
+        };
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
+        // The job's report is its last access to borrowed data
+        // (`report` itself is an owned, reference-counted handle).
+        // SAFETY: erasing the lifetime is sound because this call does
+        // not return or unwind until every dispatched job has reported;
+        // a report that can never arrive aborts the process instead.
+        let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, RankJob>(job) };
+        if worker.send(job).is_err() {
+            abort_lost_rank("a rank worker exited");
         }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
+    }
+    drop(report);
+    let mut outs: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
+    for _ in 0..n {
+        match reports.recv() {
+            Ok((rank, out)) => outs[rank] = Some(out),
+            Err(_) => abort_lost_rank("a rank job was dropped without reporting"),
+        }
+    }
+    idle_rank_workers().extend(workers);
+    outs.into_iter()
+        .flatten()
+        .map(|out| out.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1980,6 +2090,89 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("mailbox not empty"), "got: {msg}");
+    }
+
+    #[test]
+    fn rank_panic_reraises_and_reused_workers_stay_correct() {
+        let topo = Topology::new(2, 2);
+        let result = std::panic::catch_unwind(|| {
+            run_threaded(topo, |comm| {
+                if comm.rank() == 2 {
+                    panic!("rank 2 fails on purpose");
+                }
+                comm.rank()
+            })
+        });
+        let payload = result.expect_err("a rank panic must reach the caller");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "rank 2 fails on purpose");
+
+        // The worker that ran rank 2 survived and is back in the idle
+        // set; the next calls may land on it.
+        let bufs = labeled(4, 3);
+        let expect = linear_all_to_all(&bufs);
+        let bufs_ref = &bufs;
+        for _ in 0..8 {
+            let got = run_threaded(topo, |mut comm| {
+                comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+            });
+            assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn ranks_run_on_parked_rank_workers() {
+        let names = run_threaded(Topology::new(1, 3), |_comm| {
+            std::thread::current().name().map(str::to_owned)
+        });
+        assert!(
+            names.iter().all(|n| n.as_deref() == Some("tutel-rank")),
+            "{names:?}"
+        );
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_own_results() {
+        let topo = Topology::new(2, 2);
+        std::thread::scope(|scope| {
+            for caller in 0..4usize {
+                scope.spawn(move || {
+                    for iter in 0..50usize {
+                        let bufs: RankBuffers = labeled(4, 2)
+                            .into_iter()
+                            .map(|b| {
+                                b.into_iter()
+                                    .map(|v| v + (caller * 1000 + iter) as f32)
+                                    .collect()
+                            })
+                            .collect();
+                        let expect = linear_all_to_all(&bufs);
+                        let bufs_ref = &bufs;
+                        let got = run_threaded(topo, |mut comm| {
+                            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+                        });
+                        assert_eq!(got, expect, "caller {caller} iteration {iter}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn nested_run_threaded_inside_a_rank_completes() {
+        let outer = run_threaded(Topology::new(1, 2), |mut comm| {
+            let base = 10.0 * comm.rank() as f32;
+            let inner = run_threaded(Topology::new(1, 2), |mut inner| {
+                inner.all_to_all(&[base + inner.rank() as f32; 2]).unwrap()
+            });
+            let exchanged = comm.all_to_all(&[comm.rank() as f32; 2]).unwrap();
+            (inner, exchanged)
+        });
+        for (rank, (inner, exchanged)) in outer.iter().enumerate() {
+            let base = 10.0 * rank as f32;
+            assert_eq!(inner, &vec![vec![base, base + 1.0], vec![base, base + 1.0]]);
+            assert_eq!(exchanged, &vec![0.0, 1.0]);
+        }
     }
 
     use crate::fault::FaultPlan;

@@ -193,13 +193,18 @@ pub fn current_thread() -> usize {
 
 /// Runs `f` with the calling thread identified as logical thread
 /// `id` (must be below [`AUTO_THREAD_BASE`]); restores the previous
-/// identity afterwards. Nesting is allowed — the innermost id wins.
+/// identity afterwards, even if `f` panics. Nesting is allowed — the
+/// innermost id wins.
 pub fn with_logical_thread<R>(id: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LOGICAL_THREAD.with(|c| c.set(self.0));
+        }
+    }
     debug_assert!(id < AUTO_THREAD_BASE, "logical thread id out of range");
-    let prev = LOGICAL_THREAD.with(|c| c.replace(id));
-    let out = f();
-    LOGICAL_THREAD.with(|c| c.set(prev));
-    out
+    let _restore = Restore(LOGICAL_THREAD.with(|c| c.replace(id)));
+    f()
 }
 
 /// An armed recording session. Only one exists at a time (interleaved
@@ -618,6 +623,19 @@ mod tests {
             assert_eq!(current_thread(), 3);
             with_logical_thread(4, || assert_eq!(current_thread(), 4));
             assert_eq!(current_thread(), 3);
+        });
+        assert_eq!(current_thread(), auto);
+    }
+
+    #[test]
+    fn logical_id_is_restored_on_unwind() {
+        let auto = current_thread();
+        with_logical_thread(5, || {
+            let caught = std::panic::catch_unwind(|| {
+                with_logical_thread(6, || panic!("body panics under id 6"))
+            });
+            assert!(caught.is_err());
+            assert_eq!(current_thread(), 5, "inner id leaked past the panic");
         });
         assert_eq!(current_thread(), auto);
     }

@@ -463,12 +463,17 @@ pub fn pool_stats() -> PoolStats {
 /// Runs `body` with this thread's pool participation capped at
 /// `limit` (1 = fully serial). The determinism suite uses this to
 /// sweep effective thread counts inside one process; production code
-/// never needs it.
+/// never needs it. The previous cap is restored even if `body`
+/// panics, so a reused thread never inherits a stale cap.
 pub fn with_parallelism_limit<R>(limit: usize, body: impl FnOnce() -> R) -> R {
-    let prev = THREAD_LIMIT.with(|l| l.replace(limit.max(1)));
-    let out = body();
-    THREAD_LIMIT.with(|l| l.set(prev));
-    out
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_LIMIT.with(|l| l.set(self.0));
+        }
+    }
+    let _restore = Restore(THREAD_LIMIT.with(|l| l.replace(limit.max(1))));
+    body()
 }
 
 /// Executes `f(start, end)` over the fixed chunk decomposition of
@@ -631,6 +636,20 @@ mod tests {
         for limit in [2, 4, 8] {
             assert_eq!(run(limit), reference, "limit {limit}");
         }
+    }
+
+    #[test]
+    fn parallelism_limit_is_restored_on_unwind() {
+        let limit = || THREAD_LIMIT.with(|l| l.get());
+        let before = limit();
+        with_parallelism_limit(3, || {
+            let caught = std::panic::catch_unwind(|| {
+                with_parallelism_limit(1, || panic!("body panics under the cap"))
+            });
+            assert!(caught.is_err());
+            assert_eq!(limit(), 3, "inner cap leaked past the panic");
+        });
+        assert_eq!(limit(), before);
     }
 
     #[test]
