@@ -4,9 +4,17 @@
 //! rank program: hand each rank to a parked worker, wait for all).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tutel_comm::runtime::run_threaded;
-use tutel_comm::{linear_all_to_all, RankBuffers};
+use tutel_comm::runtime::{run_threaded, Communicator};
+use tutel_comm::{linear_all_to_all, AllToAllAlgo, RankBuffers};
 use tutel_simgpu::Topology;
+
+/// The fixed-size exchange of a flat `(W, chunk)` buffer: the
+/// uniform-count `ialltoall_v`, waited and flattened back.
+fn exchange(comm: &mut Communicator, input: &[f32], algo: AllToAllAlgo) -> Vec<f32> {
+    let sends = comm.uniform_sends(input).unwrap();
+    let handle = comm.ialltoall_v(sends, algo).unwrap();
+    handle.wait(comm).unwrap().concat()
+}
 
 fn bench_runtime(c: &mut Criterion) {
     let mut group = c.benchmark_group("threaded_runtime");
@@ -23,14 +31,16 @@ fn bench_runtime(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("threaded_linear", n), &n, |b, _| {
             b.iter(|| {
                 run_threaded(topo, |mut comm| {
-                    comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+                    let rank = comm.rank();
+                    exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::Linear)
                 })
             })
         });
         group.bench_with_input(BenchmarkId::new("threaded_2dh", n), &n, |b, _| {
             b.iter(|| {
                 run_threaded(topo, |mut comm| {
-                    comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
+                    let rank = comm.rank();
+                    exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::TwoDh)
                 })
             })
         });

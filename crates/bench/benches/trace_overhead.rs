@@ -1,7 +1,7 @@
 //! Cost of the causal-trace instrumentation on the comm hot path.
 //!
 //! The acceptance bar mirrors `telemetry_overhead`: with tracing
-//! *disabled* (the default — every `run_threaded` call without a
+//! *disabled* (the default — every `run_threaded` call, which arms no
 //! [`TraceHub`]), the instrumented runtime must stay within 2% of an
 //! uninstrumented one. Each trace call site is a single branch on an
 //! `Option<Arc<_>>`, no clock read and no allocation, and the per-
@@ -10,9 +10,17 @@
 //! monotonic clock reads, ring pushes, and the seq map.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tutel_comm::runtime::{run_threaded, run_threaded_traced};
+use tutel_comm::runtime::{run_threaded, run_threaded_with, Communicator, RunOpts};
+use tutel_comm::AllToAllAlgo;
 use tutel_obs::trace::{FlowKind, TraceHub, Tracer, TRACK_COMM};
 use tutel_simgpu::Topology;
+
+/// The fixed-size linear exchange of a flat `(W, chunk)` buffer.
+fn exchange(comm: &mut Communicator, input: &[f32]) -> Vec<f32> {
+    let sends = comm.uniform_sends(input).unwrap();
+    let handle = comm.ialltoall_v(sends, AllToAllAlgo::Linear).unwrap();
+    handle.wait(comm).unwrap().concat()
+}
 
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
@@ -30,15 +38,21 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("a2a_untraced", n), &n, |b, _| {
         b.iter(|| {
             run_threaded(topo, |mut comm| {
-                comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+                let rank = comm.rank();
+                exchange(&mut comm, &bufs_ref[rank])
             })
         })
     });
     group.bench_with_input(BenchmarkId::new("a2a_traced", n), &n, |b, _| {
         b.iter(|| {
             let hub = TraceHub::new(n);
-            run_threaded_traced(topo, &hub, |mut comm| {
-                comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+            let opts = RunOpts {
+                reliable: None,
+                trace: Some(&hub),
+            };
+            run_threaded_with(topo, opts, |mut comm| {
+                let rank = comm.rank();
+                exchange(&mut comm, &bufs_ref[rank])
             })
         })
     });

@@ -18,14 +18,13 @@ use crate::diag::Diagnostic;
 use crate::lexer::Token;
 use crate::source::{item_end_line, SourceFile};
 
-/// The collective entry points required to trace themselves.
+/// The collective entry points required to trace themselves: the one
+/// All-to-All, its blocking shorthand, and the two rings.
 const COLLECTIVES: &[&str] = &[
-    "all_to_all",
-    "all_to_all_2dh",
+    "ialltoall_v",
+    "all_to_all_v",
     "all_gather",
     "all_reduce_sum",
-    "ialltoall",
-    "ialltoall_2dh",
 ];
 
 pub struct TracedCollective;
@@ -104,6 +103,22 @@ mod tests {
     }
 
     #[test]
+    fn every_surviving_entry_point_is_covered() {
+        for name in [
+            "ialltoall_v",
+            "all_to_all_v",
+            "all_gather",
+            "all_reduce_sum",
+        ] {
+            let src = format!(
+                "impl C {{\n    pub fn {name}(&mut self) -> R {{\n        body()\n    }}\n}}\n"
+            );
+            let diags = run("tutel-comm", "crates/comm/src/runtime.rs", &src);
+            assert_eq!(diags.len(), 1, "{name} escaped the rule");
+        }
+    }
+
+    #[test]
     fn traced_bodies_pass() {
         let src = "impl C {\n    pub fn all_gather(&mut self, x: &[f32]) -> R {\n        \
                    let _span = self.tracer.span(TRACK_COMM, \"all_gather\");\n        \
@@ -113,20 +128,20 @@ mod tests {
 
     #[test]
     fn other_files_and_crates_are_exempt() {
-        let src = "pub fn all_to_all(x: &[f32]) -> Vec<f32> { x.to_vec() }\n";
+        let src = "pub fn all_to_all_v(x: &[f32]) -> Vec<f32> { x.to_vec() }\n";
         assert!(run("tutel-comm", "crates/comm/src/lib.rs", src).is_empty());
         assert!(run("tutel", "crates/core/src/runtime.rs", src).is_empty());
     }
 
     #[test]
     fn calls_to_collectives_are_not_definitions() {
-        let src = "fn helper(comm: &mut C) {\n    comm.all_to_all(&[1.0]).unwrap();\n}\n";
+        let src = "fn helper(comm: &mut C) {\n    comm.ialltoall_v(s, a).unwrap();\n}\n";
         assert!(run("tutel-comm", "crates/comm/src/runtime.rs", src).is_empty());
     }
 
     #[test]
     fn tests_and_allows_are_exempt() {
-        let test_src = "#[cfg(test)]\nmod tests {\n    fn all_to_all() { body(); }\n}\n";
+        let test_src = "#[cfg(test)]\nmod tests {\n    fn ialltoall_v() { body(); }\n}\n";
         assert!(run("tutel-comm", "crates/comm/src/runtime.rs", test_src).is_empty());
         let allowed = "// check:allow(traced_collective, scaffolding for the sched port)\n\
                        fn all_gather(x: &[f32]) -> Vec<f32> {\n    x.to_vec()\n}\n";

@@ -5,14 +5,20 @@
 //! reporting any deadlock, value corruption, or message leak as an
 //! [`explore`](crate::explore) [`Finding`] carrying the seed that
 //! replays it.
+//!
+//! The All-to-All sweeps drive the production primitive,
+//! `ialltoall_v`, on both routes with uneven per-destination counts
+//! (empty buffers included), alone and with two handles in flight,
+//! against the ragged oracle [`ragged_all_to_all`].
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 use crate::explore::Finding;
 
 use tutel_comm::runtime::Communicator;
 use tutel_comm::sched::run_sched;
-use tutel_comm::{linear_all_to_all, two_dh_all_to_all, CommError, RankBuffers};
+use tutel_comm::{linear_all_to_all, ragged_all_to_all, AllToAllAlgo, CommError, RankBuffers};
 use tutel_simgpu::Topology;
 
 /// Sweep parameters: the topology and how many seeds to explore.
@@ -21,7 +27,8 @@ pub struct SweepConfig {
     pub nnodes: usize,
     pub gpus_per_node: usize,
     pub seeds: u64,
-    /// Elements each rank contributes per peer.
+    /// Elements each rank contributes per peer (the ragged sweeps
+    /// vary it from 0 to `chunk + 1`).
     pub chunk: usize,
 }
 
@@ -66,13 +73,30 @@ fn labeled(n: usize, chunk: usize, salt: usize) -> RankBuffers {
         .collect()
 }
 
+/// Per-rank ragged All-to-All sends: rank `r` sends
+/// `(r + 2d + salt) % (chunk + 2)` labeled values to rank `d`, so
+/// counts are uneven and some buffers on the wire are empty.
+fn ragged(n: usize, chunk: usize, salt: usize) -> Vec<Vec<Vec<f32>>> {
+    (0..n)
+        .map(|r| {
+            (0..n)
+                .map(|d| {
+                    (0..(r + 2 * d + salt) % (chunk + 2))
+                        .map(|i| (salt * 100_000 + r * 1000 + d * 10 + i) as f32)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Judges one scheduled run against its oracle.
-fn judge(
+fn judge<T: PartialEq>(
     name: &'static str,
     seed: u64,
-    results: &[Result<Vec<f32>, CommError>],
+    results: &[Result<T, CommError>],
     report: &tutel_comm::sched::SchedReport,
-    expect: &RankBuffers,
+    expect: &[T],
     failures: &mut Vec<Finding>,
 ) {
     if let Some(detail) = &report.deadlock {
@@ -113,44 +137,68 @@ fn judge(
     }
 }
 
-/// Sweeps one collective across `cfg.seeds` schedules.
-fn sweep_one<F>(
+/// Sweeps one collective across the `seeds` schedules.
+fn sweep_one<T, F>(
     name: &'static str,
     cfg: &SweepConfig,
-    inputs: &RankBuffers,
-    expect: &RankBuffers,
+    seeds: Range<u64>,
+    expect: &[T],
     collective: F,
 ) -> CollectiveSweep
 where
-    F: Fn(&mut Communicator, &[f32]) -> Result<Vec<f32>, CommError> + Send + Sync,
+    T: PartialEq + Send,
+    F: Fn(&mut Communicator) -> Result<T, CommError> + Send + Sync,
 {
     let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
     let mut signatures = HashSet::new();
     let mut failures = Vec::new();
-    for seed in 0..cfg.seeds {
-        let (results, report) =
-            run_sched(topo, seed, |comm| collective(comm, &inputs[comm.rank()]));
+    let schedules = seeds.end - seeds.start;
+    for seed in seeds {
+        let (results, report) = run_sched(topo, seed, &collective);
         signatures.insert(report.signature);
         judge(name, seed, &results, &report, expect, &mut failures);
     }
     CollectiveSweep {
         name,
-        schedules: cfg.seeds,
+        schedules,
         distinct: signatures.len(),
         failures,
     }
 }
 
-/// Runs the full sweep over the four threaded collectives.
+/// A rank program issuing `ialltoall_v` of its row of `sends` over
+/// `algo`, then waiting.
+fn exchange(
+    sends: &[Vec<Vec<f32>>],
+    algo: AllToAllAlgo,
+) -> impl Fn(&mut Communicator) -> Result<Vec<Vec<f32>>, CommError> + Send + Sync + '_ {
+    move |c| c.ialltoall_v(sends[c.rank()].clone(), algo)?.wait(c)
+}
+
+/// Runs the full sweep: `ialltoall_v` on each route, two handles in
+/// flight, and the two rings.
 pub fn sweep_collectives(cfg: &SweepConfig) -> Vec<CollectiveSweep> {
     let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
     let n = topo.world_size();
 
-    let a2a_in = labeled(n, cfg.chunk, 1);
-    let a2a_expect = linear_all_to_all(&a2a_in);
-
-    let twodh_in = labeled(n, cfg.chunk, 2);
-    let twodh_expect = two_dh_all_to_all(&twodh_in, &topo);
+    let lin_in = ragged(n, cfg.chunk, 1);
+    let lin_expect = ragged_all_to_all(&lin_in);
+    let twodh_in = ragged(n, cfg.chunk, 2);
+    let twodh_expect = ragged_all_to_all(&twodh_in);
+    // Two handles in flight at once, one per route, waited in issue
+    // order: their messages must never mix.
+    let both_expect: Vec<_> = lin_expect
+        .iter()
+        .cloned()
+        .zip(twodh_expect.iter().cloned())
+        .collect();
+    let both_in_flight = |c: &mut Communicator| {
+        let rank = c.rank();
+        let mut a = c.ialltoall_v(lin_in[rank].clone(), AllToAllAlgo::Linear)?;
+        let b = c.ialltoall_v(twodh_in[rank].clone(), AllToAllAlgo::TwoDh)?;
+        a.poll(c)?;
+        Ok((a.wait(c)?, b.wait(c)?))
+    };
 
     let gather_in: RankBuffers = (0..n)
         .map(|r| (0..cfg.chunk).map(|i| (r * 10 + i) as f32).collect())
@@ -167,18 +215,28 @@ pub fn sweep_collectives(cfg: &SweepConfig) -> Vec<CollectiveSweep> {
     }
     let reduce_expect: RankBuffers = vec![reduce_sum; n];
 
+    let seeds = || 0..cfg.seeds;
     vec![
-        sweep_one("all_to_all", cfg, &a2a_in, &a2a_expect, |c, x| {
-            c.all_to_all(x)
+        sweep_one(
+            "ialltoall_v/lin",
+            cfg,
+            seeds(),
+            &lin_expect,
+            exchange(&lin_in, AllToAllAlgo::Linear),
+        ),
+        sweep_one(
+            "ialltoall_v/2dh",
+            cfg,
+            seeds(),
+            &twodh_expect,
+            exchange(&twodh_in, AllToAllAlgo::TwoDh),
+        ),
+        sweep_one("ialltoall_v/x2", cfg, seeds(), &both_expect, both_in_flight),
+        sweep_one("all_gather", cfg, seeds(), &gather_expect, |c| {
+            c.all_gather(&gather_in[c.rank()])
         }),
-        sweep_one("all_to_all_2dh", cfg, &twodh_in, &twodh_expect, |c, x| {
-            c.all_to_all_2dh(x)
-        }),
-        sweep_one("all_gather", cfg, &gather_in, &gather_expect, |c, x| {
-            c.all_gather(x)
-        }),
-        sweep_one("all_reduce_sum", cfg, &reduce_in, &reduce_expect, |c, x| {
-            c.all_reduce_sum(x)
+        sweep_one("all_reduce_sum", cfg, seeds(), &reduce_expect, |c| {
+            c.all_reduce_sum(&reduce_in[c.rank()])
         }),
     ]
 }
@@ -215,79 +273,31 @@ fn manual_all_to_all(
 /// the sweep (whose failures carry the replayable seed) — an *empty*
 /// failure list here means the checker has lost its teeth.
 pub fn broken_tag_selftest(cfg: &SweepConfig) -> CollectiveSweep {
-    let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
-    let n = topo.world_size();
-    let round1 = labeled(n, cfg.chunk, 4);
-    let round2 = labeled(n, cfg.chunk, 5);
-    let expect1 = linear_all_to_all(&round1);
-    let expect2 = linear_all_to_all(&round2);
-    // The per-rank oracle is the concatenation of both rounds.
-    let expect: RankBuffers = (0..n)
-        .map(|r| {
-            let mut v = expect1[r].clone();
-            v.extend_from_slice(&expect2[r]);
-            v
-        })
-        .collect();
-    let mut signatures = HashSet::new();
-    let mut failures = Vec::new();
-    for seed in 0..cfg.seeds {
-        let (results, report) = run_sched(topo, seed, |comm| {
-            let rank = comm.rank();
-            let mut out = manual_all_to_all(comm, &round1[rank], 7)?;
-            out.extend(manual_all_to_all(comm, &round2[rank], 7)?);
-            Ok::<_, CommError>(out)
-        });
-        signatures.insert(report.signature);
-        judge(
-            "broken_tag",
-            seed,
-            &results,
-            &report,
-            &expect,
-            &mut failures,
-        );
-    }
-    CollectiveSweep {
-        name: "broken_tag (intentional bug)",
-        schedules: cfg.seeds,
-        distinct: signatures.len(),
-        failures,
-    }
+    broken_tag_sweep(cfg, 0..cfg.seeds)
 }
 
 /// Replays a single seed of the broken-tag program and reports
 /// whether it failed — used to confirm a reported seed reproduces.
 pub fn broken_tag_replay(cfg: &SweepConfig, seed: u64) -> Vec<Finding> {
-    let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
-    let n = topo.world_size();
+    broken_tag_sweep(cfg, seed..seed + 1).failures
+}
+
+fn broken_tag_sweep(cfg: &SweepConfig, seeds: Range<u64>) -> CollectiveSweep {
+    let n = cfg.nnodes * cfg.gpus_per_node;
     let round1 = labeled(n, cfg.chunk, 4);
     let round2 = labeled(n, cfg.chunk, 5);
-    let expect1 = linear_all_to_all(&round1);
-    let expect2 = linear_all_to_all(&round2);
-    let expect: RankBuffers = (0..n)
-        .map(|r| {
-            let mut v = expect1[r].clone();
-            v.extend_from_slice(&expect2[r]);
-            v
-        })
+    // The per-rank oracle is the concatenation of both rounds.
+    let expect: RankBuffers = linear_all_to_all(&round1)
+        .into_iter()
+        .zip(linear_all_to_all(&round2))
+        .map(|(a, b)| [a, b].concat())
         .collect();
-    let mut failures = Vec::new();
-    let (results, report) = run_sched(topo, seed, |comm| {
+    sweep_one("broken_tag", cfg, seeds, &expect, |comm| {
         let rank = comm.rank();
         let mut out = manual_all_to_all(comm, &round1[rank], 7)?;
         out.extend(manual_all_to_all(comm, &round2[rank], 7)?);
-        Ok::<_, CommError>(out)
-    });
-    judge(
-        "broken_tag",
-        seed,
-        &results,
-        &report,
-        &expect,
-        &mut failures,
-    );
-    failures
+        Ok(out)
+    })
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 //!
 //! Two layers consume plans:
 //!
-//! * the channel-backed runtime ([`crate::runtime::run_threaded_reliable`])
-//!   applies the action at *send* time: `Drop` withholds the first
-//!   transmission (recoverable via the retry protocol), `Duplicate`
-//!   transmits twice (exercising receiver dedupe), `Delay` holds the
+//! * the channel-backed runtime (armed via
+//!   [`crate::runtime::RunOpts::reliable`]) applies the action at
+//!   *send* time: `Drop` withholds the first transmission (recoverable
+//!   via the retry protocol), `Duplicate` transmits twice (exercising receiver dedupe), `Delay` holds the
 //!   message back until the collective's acknowledgement phase
 //!   (exercising late, out-of-order arrival);
 //! * the deterministic scheduler ([`crate::sched`], under

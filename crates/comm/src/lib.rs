@@ -13,7 +13,9 @@
 //! The algorithms:
 //!
 //! * [`linear_all_to_all`] — NCCL-style point-to-point loop
-//!   (Algorithm 1 of the paper).
+//!   (Algorithm 1 of the paper), and [`ragged_all_to_all`], its
+//!   any-length form: the oracle of the threaded runtime's one
+//!   All-to-All, [`runtime::Communicator::ialltoall_v`].
 //! * [`two_dh_all_to_all`] — the paper's Two-Dimensional Hierarchical
 //!   All-to-All (Algorithm 3): stride-memcpy align, intra-node exchange,
 //!   align again, inter-node exchange.
@@ -41,11 +43,10 @@ mod world;
 pub use algo::AllToAllAlgo;
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan};
-pub use linear::linear_all_to_all;
+pub use linear::{linear_all_to_all, ragged_all_to_all};
 pub use local_agg::naive_local_agg_all_to_all;
 pub use runtime::{
-    run_threaded, run_threaded_reliable, run_threaded_reliable_traced, run_threaded_traced,
-    CommHandle, ReliableConfig, RetryPolicy,
+    run_threaded, run_threaded_with, CommHandle, ReliableConfig, RetryPolicy, RunOpts,
 };
 pub use stride::stride_memcpy;
 pub use timing::{A2aImpl, A2aPhase, CollectiveTiming};

@@ -46,6 +46,29 @@ pub fn linear_all_to_all(bufs: &RankBuffers) -> RankBuffers {
     out
 }
 
+/// Functional ragged All-to-All: `sends[s][d]` is rank `s`'s buffer
+/// for rank `d`, of any length, and rank `d` receives one buffer per
+/// source, `out[d][s] == sends[s][d]`. The sequential oracle of
+/// [`crate::runtime::Communicator::ialltoall_v`].
+///
+/// # Panics
+///
+/// Panics if a rank holds fewer buffers than there are ranks.
+///
+/// # Example
+///
+/// ```
+/// let sends = vec![vec![vec![1.0], vec![]], vec![vec![2.0, 3.0], vec![4.0]]];
+/// let out = tutel_comm::ragged_all_to_all(&sends);
+/// assert_eq!(out[0], vec![vec![1.0], vec![2.0, 3.0]]);
+/// assert_eq!(out[1], vec![vec![], vec![4.0]]);
+/// ```
+pub fn ragged_all_to_all(sends: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
+    (0..sends.len())
+        .map(|d| sends.iter().map(|s| s[d].clone()).collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

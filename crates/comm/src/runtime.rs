@@ -8,10 +8,14 @@
 //! implements the collectives as each rank's local program — exactly
 //! the structure of Algorithm 1 and Algorithm 3 in the paper:
 //!
-//! * [`Communicator::all_to_all`] — the linear send/recv loop;
-//! * [`Communicator::all_to_all_2dh`] — stride-align, intra-node
-//!   exchange, align, inter-node exchange (Figure 15), with each rank
-//!   only ever touching its own buffers;
+//! * [`Communicator::ialltoall_v`] — the one All-to-All: ragged (one
+//!   buffer per destination, any lengths), non-blocking (it returns a
+//!   [`CommHandle`]), over either [`AllToAllAlgo`]: the linear
+//!   send/recv loop, or 2DH's intra-node then inter-node hops
+//!   (Figure 15), with each rank only ever touching its own buffers. A
+//!   fixed-size exchange is the uniform-count case, and a blocking one
+//!   is issue plus [`CommHandle::wait`] ([`Communicator::all_to_all_v`]
+//!   is that shorthand for the linear route);
 //! * ring [`Communicator::all_gather`] and
 //!   [`Communicator::all_reduce_sum`].
 //!
@@ -21,16 +25,17 @@
 //! unwinding across threads.
 //!
 //! The transport is pluggable: production runs use MPMC channels via
-//! [`run_threaded`]; under `feature = "check-sched"` the same
-//! `Communicator` can instead be backed by the adversarial
-//! deterministic scheduler in [`crate::sched`].
+//! [`run_threaded`] (or [`run_threaded_with`] for a reliable or traced
+//! run); under `feature = "check-sched"` the same `Communicator` can
+//! instead be backed by the adversarial deterministic scheduler in
+//! [`crate::sched`].
 //!
 //! # Rank workers
 //!
 //! Rank threads outlive the call that uses them, as a real job's
 //! ranks outlive each step. A process-wide set of parked **rank
-//! workers** serves every `run_threaded*` call: a call checks out one
-//! idle worker per rank (spawning a new one only when none is idle),
+//! workers** serves every [`run_threaded_with`] call: a call checks out
+//! one idle worker per rank (spawning a new one only when none is idle),
 //! hands each its rank job — build the rank's [`Communicator`], run
 //! the program — and blocks until every rank has reported, then parks
 //! the workers again. A launch therefore costs two channel hand-offs
@@ -51,7 +56,7 @@
 //!
 //! # Reliability layer
 //!
-//! [`run_threaded_reliable`] arms an optional end-to-end reliability
+//! [`RunOpts::reliable`] arms an optional end-to-end reliability
 //! protocol on top of the same collectives, used by the conformance
 //! harness to prove graceful degradation under injected faults
 //! ([`crate::fault::FaultPlan`]):
@@ -90,7 +95,7 @@ use tutel_simgpu::Topology;
 
 use crate::error::CommError;
 use crate::fault::{FaultAction, FaultPlan};
-use crate::stride_memcpy;
+use crate::AllToAllAlgo;
 
 /// Message class on the wire. Control traffic (`Retry`, `Ack`) exists
 /// only under the reliability layer and is handled inline by the
@@ -153,7 +158,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Configuration for [`run_threaded_reliable`].
+/// The reliability layer's settings ([`RunOpts::reliable`]).
 #[derive(Clone, Default)]
 pub struct ReliableConfig {
     /// Timeout/retry schedule.
@@ -248,7 +253,7 @@ pub struct Communicator {
     /// Set once any operation errored; disables the drop-time mailbox
     /// audit (a failed run legitimately strands messages).
     poisoned: Cell<bool>,
-    /// Armed by [`run_threaded_reliable`]; `None` keeps the plain
+    /// Armed by [`RunOpts::reliable`]; `None` keeps the plain
     /// fast path (and is always `None` on the sched endpoint, whose
     /// delivery faults live in the scheduler itself).
     reliability: Option<Reliability>,
@@ -832,359 +837,133 @@ impl Communicator {
         Ok(len / chunks)
     }
 
-    /// Linear All-to-All (Algorithm 1): splits `input` into `W` equal
-    /// chunks laid out as `(W, chunk)`, sends chunk `d` to rank `d`,
-    /// returns the received chunks in source order.
+    /// Non-blocking ragged All-to-All: the runtime's one All-to-All.
     ///
-    /// # Errors
+    /// `sends[d]` is this rank's buffer for rank `d`, of any length
+    /// (empty included). [`CommHandle::wait`] returns one buffer per
+    /// source rank: entry `s` is exactly what rank `s` passed as its
+    /// `sends[self.rank()]`. Peers' lengths ride the messages, so no
+    /// count pre-exchange is needed. A fixed-size exchange is the
+    /// uniform-count case.
     ///
-    /// [`CommError::Indivisible`] if `input.len()` is not divisible by
-    /// the world size, plus any transport error.
-    pub fn all_to_all(&mut self, input: &[f32]) -> Result<Vec<f32>, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "all_to_all");
-        let n = self.world_size();
-        let chunk = self.require_divisible(input.len(), n)?;
-        let tag = self.fresh_tag();
-        for peer in 0..n {
-            if peer != self.rank {
-                self.send(peer, tag, input[peer * chunk..(peer + 1) * chunk].to_vec())?;
-            }
-        }
-        let mut out = vec![0.0f32; input.len()];
-        out[self.rank * chunk..(self.rank + 1) * chunk]
-            .copy_from_slice(&input[self.rank * chunk..(self.rank + 1) * chunk]);
-        for src in 0..n {
-            if src != self.rank {
-                let payload = self.recv(src, tag)?;
-                out[src * chunk..(src + 1) * chunk].copy_from_slice(&payload);
-            }
-        }
-        self.collective_epilogue(&[tag])?;
-        Ok(out)
-    }
-
-    /// Flexible (ragged) linear All-to-All: sends `sends[d]` to rank
-    /// `d` verbatim and returns the received buffers in source order,
-    /// with no equal-chunk requirement — peers' payload lengths ride
-    /// the message itself, so no count pre-exchange is needed. Empty
-    /// buffers are legal (an expert that received no tokens). Runs
-    /// under the reliability layer and fault injection exactly like
-    /// [`Communicator::all_to_all`].
+    /// * [`AllToAllAlgo::Linear`] (Algorithm 1) sends every buffer
+    ///   straight to its destination at issue.
+    /// * [`AllToAllAlgo::TwoDh`] (Algorithm 3, Figure 15) sends the
+    ///   intra-node hop at issue: each same-node peer gets one message
+    ///   holding the buffers bound for its local rank on every node.
+    ///   Once the last intra-node message lands, `poll`/`wait` promote
+    ///   the handle to the inter-node hop: one message per remote node
+    ///   with this node's buffers for that node's same-local-rank peer.
+    ///   Both tags are allocated here, so every rank's tag counter
+    ///   advances by the same amount at issue, whenever its poll
+    ///   observes the promotion.
+    ///
+    /// A 2DH message concatenates several buffers, so it starts with an
+    /// in-band header of their lengths encoded as f32 — exact below
+    /// 2^24 elements per buffer, far above any routed bin this
+    /// simulator produces. Both routes deliver every buffer verbatim:
+    /// the results are bitwise identical.
     ///
     /// # Errors
     ///
     /// [`CommError::Indivisible`] if `sends.len()` is not the world
-    /// size, plus any transport error.
-    pub fn all_to_all_v(&mut self, sends: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "all_to_all_v");
+    /// size, plus any transport error during issue.
+    pub fn ialltoall_v(
+        &mut self,
+        sends: Vec<Vec<f32>>,
+        algo: AllToAllAlgo,
+    ) -> Result<CommHandle, CommError> {
+        let _span = self.tracer.span(TRACK_COMM, "ialltoall_v.issue");
         let n = self.world_size();
         if sends.len() != n {
-            self.poisoned.set(true);
-            return Err(CommError::Indivisible {
+            return self.fail(CommError::Indivisible {
                 len: sends.len(),
                 chunks: n,
             });
-        }
-        let tag = self.fresh_tag();
-        for (peer, buf) in sends.iter().enumerate() {
-            if peer != self.rank {
-                self.send(peer, tag, buf.clone())?;
-            }
         }
         let me = self.rank;
         let mut out = vec![Vec::new(); n];
-        out[me] = sends[me].clone();
-        for src in (0..n).filter(|&s| s != me) {
-            let buf = self.recv(src, tag)?;
-            out[src] = buf;
-        }
-        self.collective_epilogue(&[tag])?;
-        Ok(out)
-    }
-
-    /// Flexible (ragged) 2DH All-to-All: the hierarchical phases of
-    /// [`Communicator::all_to_all_2dh`] generalized to per-destination
-    /// buffer lengths. Because the intermediate hop must re-bucket a
-    /// concatenation of variable-length messages, each wire payload
-    /// carries an in-band header of per-segment lengths encoded as
-    /// f32 — exact below 2^24 elements per segment, far above any
-    /// routed bin this simulator produces.
-    ///
-    /// Bitwise-identical result to [`Communicator::all_to_all_v`]: both
-    /// deliver every source buffer verbatim, only the route differs.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Indivisible`] if `sends.len()` is not the world
-    /// size, plus any transport error.
-    pub fn all_to_all_v_2dh(&mut self, sends: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "all_to_all_v_2dh");
-        let n = self.world_size();
-        if sends.len() != n {
-            self.poisoned.set(true);
-            return Err(CommError::Indivisible {
-                len: sends.len(),
-                chunks: n,
-            });
-        }
-        let m = self.topology.gpus_per_node();
-        let nnodes = self.topology.nnodes();
-        let node = self.topology.node_of(self.rank);
-        let local = self.topology.local_rank(self.rank);
-
-        // Phase 1+2: bucket by destination *local rank* and exchange
-        // intra-node. Segment order inside a bucket is destination
-        // node order; the header block holds the nnodes lengths.
-        let pack = |segs: Vec<&[f32]>| -> Vec<f32> {
-            let mut buf =
-                Vec::with_capacity(segs.len() + segs.iter().map(|s| s.len()).sum::<usize>());
-            buf.extend(segs.iter().map(|s| s.len() as f32));
-            for s in &segs {
-                buf.extend_from_slice(s);
-            }
-            buf
-        };
-        let unpack = |buf: &[f32], nseg: usize| -> Vec<Vec<f32>> {
-            let mut segs = Vec::with_capacity(nseg);
-            let mut at = nseg;
-            for i in 0..nseg {
-                let len = buf[i] as usize;
-                segs.push(buf[at..at + len].to_vec());
-                at += len;
-            }
-            segs
-        };
-        let tag = self.fresh_tag();
-        for dst_local in 0..m {
-            let payload = pack(
-                (0..nnodes)
-                    .map(|dst_node| sends[dst_node * m + dst_local].as_slice())
-                    .collect(),
-            );
-            if dst_local != local {
-                self.send(node * m + dst_local, tag, payload)?;
-            }
-        }
-        // phase2[src_local][dst_node] = message from (node, src_local)
-        // bound for (dst_node, local).
-        let mut phase2: Vec<Vec<Vec<f32>>> = vec![Vec::new(); m];
-        phase2[local] = (0..nnodes)
-            .map(|dst_node| sends[dst_node * m + local].clone())
-            .collect();
-        for src_local in (0..m).filter(|&s| s != local) {
-            let payload = self.recv(node * m + src_local, tag)?;
-            phase2[src_local] = unpack(&payload, nnodes);
-        }
-
-        // Phase 3+4: re-bucket by destination node and exchange
-        // inter-node among same-local-rank peers. Segment order is
-        // source local-rank order.
-        let tag_inter = self.fresh_tag();
-        for dst_node in (0..nnodes).filter(|&d| d != node) {
-            let payload = pack(
-                phase2
-                    .iter()
-                    .map(|bucket| bucket[dst_node].as_slice())
-                    .collect(),
-            );
-            self.send(dst_node * m + local, tag_inter, payload)?;
-        }
-        let mut out = vec![Vec::new(); n];
-        for (src_local, bucket) in phase2.iter().enumerate() {
-            out[node * m + src_local] = bucket[node].clone();
-        }
-        for src_node in 0..nnodes {
-            if src_node != node {
-                let payload = self.recv(src_node * m + local, tag_inter)?;
-                for (src_local, seg) in unpack(&payload, m).into_iter().enumerate() {
-                    out[src_node * m + src_local] = seg;
+        let mut handle = match algo {
+            AllToAllAlgo::Linear => {
+                let tag = self.fresh_tag();
+                for (peer, buf) in sends.into_iter().enumerate() {
+                    if peer == me {
+                        out[me] = buf;
+                    } else {
+                        self.send(peer, tag, buf)?;
+                    }
                 }
-            }
-        }
-        self.collective_epilogue(&[tag, tag_inter])?;
-        Ok(out)
-    }
-
-    /// 2DH All-to-All (Algorithm 3): each rank runs the four phases of
-    /// Figure 15 locally over its `(W, chunk)` buffer, exchanging only
-    /// intra-node blocks in phase 2 and inter-node blocks in phase 4.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Indivisible`] if `input.len()` is not divisible by
-    /// the world size, plus any transport error.
-    pub fn all_to_all_2dh(&mut self, input: &[f32]) -> Result<Vec<f32>, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "all_to_all_2dh");
-        let n = self.world_size();
-        let m = self.topology.gpus_per_node();
-        let nnodes = self.topology.nnodes();
-        let chunk = self.require_divisible(input.len(), n)?;
-        let node = self.topology.node_of(self.rank);
-        let local = self.topology.local_rank(self.rank);
-
-        // Phase 1: align chunks sharing a local destination GPU.
-        let aligned = stride_memcpy(input, chunk, m, nnodes);
-
-        // Phase 2: intra-node All-to-All of nnodes·chunk blocks.
-        let tag = self.fresh_tag();
-        let block = nnodes * chunk;
-        for dst_local in 0..m {
-            if dst_local != local {
-                let dst = node * m + dst_local;
-                self.send(
-                    dst,
-                    tag,
-                    aligned[dst_local * block..(dst_local + 1) * block].to_vec(),
-                )?;
-            }
-        }
-        let mut phase2 = vec![0.0f32; input.len()];
-        phase2[local * block..(local + 1) * block]
-            .copy_from_slice(&aligned[local * block..(local + 1) * block]);
-        for src_local in 0..m {
-            if src_local != local {
-                let src = node * m + src_local;
-                let payload = self.recv(src, tag)?;
-                phase2[src_local * block..(src_local + 1) * block].copy_from_slice(&payload);
-            }
-        }
-
-        // Phase 3: align chunks sharing a remote destination node.
-        let phase3 = stride_memcpy(&phase2, chunk, nnodes, m);
-
-        // Phase 4: inter-node All-to-All among same-local-rank peers.
-        let tag_inter = self.fresh_tag();
-        let nblock = m * chunk;
-        for dst_node in 0..nnodes {
-            if dst_node != node {
-                let dst = dst_node * m + local;
-                self.send(
-                    dst,
-                    tag_inter,
-                    phase3[dst_node * nblock..(dst_node + 1) * nblock].to_vec(),
-                )?;
-            }
-        }
-        let mut out = vec![0.0f32; input.len()];
-        out[node * nblock..(node + 1) * nblock]
-            .copy_from_slice(&phase3[node * nblock..(node + 1) * nblock]);
-        for src_node in 0..nnodes {
-            if src_node != node {
-                let src = src_node * m + local;
-                let payload = self.recv(src, tag_inter)?;
-                out[src_node * nblock..(src_node + 1) * nblock].copy_from_slice(&payload);
-            }
-        }
-        self.collective_epilogue(&[tag, tag_inter])?;
-        Ok(out)
-    }
-
-    /// Non-blocking linear All-to-All: issues every send eagerly and
-    /// returns a [`CommHandle`] that completes as peers' chunks
-    /// arrive. Same wire layout and bitwise-identical result as
-    /// [`Communicator::all_to_all`].
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Indivisible`] if `input.len()` is not divisible by
-    /// the world size, plus any transport error during issue.
-    pub fn ialltoall(&mut self, input: &[f32]) -> Result<CommHandle, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "ialltoall.issue");
-        let n = self.world_size();
-        let chunk = self.require_divisible(input.len(), n)?;
-        let tag = self.fresh_tag();
-        for peer in 0..n {
-            if peer != self.rank {
-                self.send(peer, tag, input[peer * chunk..(peer + 1) * chunk].to_vec())?;
-            }
-        }
-        let mut out = vec![0.0f32; input.len()];
-        out[self.rank * chunk..(self.rank + 1) * chunk]
-            .copy_from_slice(&input[self.rank * chunk..(self.rank + 1) * chunk]);
-        let pending: Vec<usize> = (0..n).filter(|&s| s != self.rank).collect();
-        let mut handle = CommHandle {
-            op: "ialltoall",
-            tags: vec![tag],
-            state: if pending.is_empty() {
-                HandleState::Done { out }
-            } else {
-                HandleState::Linear {
-                    tag,
-                    chunk,
-                    pending,
+                CommHandle {
+                    algo,
+                    tags: vec![tag],
+                    pending: (0..n).filter(|&s| s != me).map(|s| (s, tag)).collect(),
                     out,
+                    relay: None,
                 }
-            },
+            }
+            AllToAllAlgo::TwoDh => {
+                let m = self.topology.gpus_per_node();
+                let node = self.topology.node_of(me);
+                let local = self.topology.local_rank(me);
+                let tag_intra = self.fresh_tag();
+                let tag_inter = self.fresh_tag();
+                // Bucket by destination local rank (rank d is local
+                // rank d % m); a bucket's buffers are in node order.
+                let mut relay: Vec<Vec<Vec<f32>>> = vec![Vec::new(); m];
+                for (dst, buf) in sends.into_iter().enumerate() {
+                    relay[dst % m].push(buf);
+                }
+                for (dst_local, bucket) in relay.iter_mut().enumerate() {
+                    if dst_local != local {
+                        self.send(node * m + dst_local, tag_intra, pack(bucket))?;
+                        *bucket = Vec::new();
+                    }
+                }
+                CommHandle {
+                    algo,
+                    tags: vec![tag_intra, tag_inter],
+                    pending: (0..m)
+                        .filter(|&l| l != local)
+                        .map(|l| (node * m + l, tag_intra))
+                        .collect(),
+                    out,
+                    relay: Some(relay),
+                }
+            }
         };
         // Early arrivals may already be parked (a faster peer's sends
-        // land before we issue); absorb them now.
+        // land before we issue), and degenerate topologies can promote
+        // at once; absorb before handing the handle back.
         handle.absorb(self)?;
         Ok(handle)
     }
 
-    /// Non-blocking 2DH All-to-All: phases 1–2 are issued eagerly;
-    /// phases 3–4 are issued automatically once every intra-node block
-    /// has arrived (during `poll` or `wait`). Both phase tags are
-    /// allocated up front so every rank's tag counter advances by the
-    /// same amount at issue time — tag lockstep across ranks must not
-    /// depend on *when* each rank's poll observes the phase
-    /// transition.
+    /// Splits a flat `(W, chunk)` buffer into the sends of a
+    /// uniform-count [`Communicator::ialltoall_v`]: chunk `d` for rank
+    /// `d`. Concatenating the received buffers restores the layout.
     ///
     /// # Errors
     ///
-    /// [`CommError::Indivisible`] if `input.len()` is not divisible by
-    /// the world size, plus any transport error during issue.
-    pub fn ialltoall_2dh(&mut self, input: &[f32]) -> Result<CommHandle, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "ialltoall_2dh.issue");
+    /// [`CommError::Indivisible`] if `buf.len()` is not a multiple of
+    /// the world size.
+    pub fn uniform_sends(&self, buf: &[f32]) -> Result<Vec<Vec<f32>>, CommError> {
         let n = self.world_size();
-        let m = self.topology.gpus_per_node();
-        let nnodes = self.topology.nnodes();
-        let chunk = self.require_divisible(input.len(), n)?;
-        let node = self.topology.node_of(self.rank);
-        let local = self.topology.local_rank(self.rank);
-        let tag_intra = self.fresh_tag();
-        let tag_inter = self.fresh_tag();
+        let chunk = self.require_divisible(buf.len(), n)?;
+        Ok((0..n)
+            .map(|d| buf[d * chunk..(d + 1) * chunk].to_vec())
+            .collect())
+    }
 
-        // Phases 1–2: align and issue the intra-node exchange.
-        let aligned = stride_memcpy(input, chunk, m, nnodes);
-        let block = nnodes * chunk;
-        for dst_local in 0..m {
-            if dst_local != local {
-                let dst = node * m + dst_local;
-                self.send(
-                    dst,
-                    tag_intra,
-                    aligned[dst_local * block..(dst_local + 1) * block].to_vec(),
-                )?;
-            }
-        }
-        let mut phase2 = vec![0.0f32; input.len()];
-        phase2[local * block..(local + 1) * block]
-            .copy_from_slice(&aligned[local * block..(local + 1) * block]);
-        let pending_intra: Vec<usize> = (0..m).filter(|&l| l != local).collect();
-        let mut handle = CommHandle {
-            op: "ialltoall_2dh",
-            tags: vec![tag_intra, tag_inter],
-            state: HandleState::TwoDh {
-                tag_intra,
-                tag_inter,
-                chunk,
-                m,
-                nnodes,
-                node,
-                local,
-                phase2,
-                pending_intra,
-                inter_issued: false,
-                out: vec![0.0f32; input.len()],
-                pending_inter: (0..nnodes).filter(|&nd| nd != node).collect(),
-            },
-        };
-        // Degenerate topologies (m == 1, nnodes == 1) and early
-        // arrivals can already make progress — including issuing the
-        // inter-node phase — so absorb before handing the handle back.
-        handle.absorb(self)?;
-        Ok(handle)
+    /// Blocking linear [`Communicator::ialltoall_v`]: issue, then
+    /// [`CommHandle::wait`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Communicator::ialltoall_v`] and [`CommHandle::wait`].
+    pub fn all_to_all_v(&mut self, sends: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, CommError> {
+        let _span = self.tracer.span(TRACK_COMM, "all_to_all_v");
+        self.ialltoall_v(sends.to_vec(), AllToAllAlgo::Linear)?
+            .wait(self)
     }
 
     /// Ring all-gather: returns the concatenation of every rank's
@@ -1276,48 +1055,38 @@ impl Communicator {
     }
 }
 
-/// Progress state of an in-flight non-blocking All-to-All.
-enum HandleState {
-    /// Linear: waiting on one chunk from each pending source rank.
-    Linear {
-        tag: u64,
-        chunk: usize,
-        /// Source ranks whose chunk has not arrived yet.
-        pending: Vec<usize>,
-        out: Vec<f32>,
-    },
-    /// 2DH: intra-node exchange in flight, then (once `inter_issued`)
-    /// the inter-node exchange.
-    TwoDh {
-        tag_intra: u64,
-        tag_inter: u64,
-        chunk: usize,
-        m: usize,
-        nnodes: usize,
-        node: usize,
-        local: usize,
-        /// Intra-node landing buffer (phase 2 of Figure 15).
-        phase2: Vec<f32>,
-        /// Local ranks whose intra-node block has not arrived yet.
-        pending_intra: Vec<usize>,
-        /// Whether phases 3–4 (align + inter-node sends) have run.
-        inter_issued: bool,
-        out: Vec<f32>,
-        /// Nodes whose inter-node block has not arrived yet.
-        pending_inter: Vec<usize>,
-    },
-    /// All chunks arrived; `wait` takes the buffer out.
-    Done { out: Vec<f32> },
+/// Concatenates `segs` behind an in-band header of their lengths (a
+/// 2DH hop message; see [`Communicator::ialltoall_v`]).
+fn pack(segs: &[Vec<f32>]) -> Vec<f32> {
+    let mut buf = Vec::with_capacity(segs.len() + segs.iter().map(Vec::len).sum::<usize>());
+    buf.extend(segs.iter().map(|s| s.len() as f32));
+    for s in segs {
+        buf.extend_from_slice(s);
+    }
+    buf
 }
 
-/// An in-flight non-blocking All-to-All issued by
-/// [`Communicator::ialltoall`] or [`Communicator::ialltoall_2dh`].
+/// Splits a [`pack`]ed message of `nseg` segments.
+fn unpack(buf: &[f32], nseg: usize) -> Vec<Vec<f32>> {
+    let mut at = nseg;
+    buf[..nseg]
+        .iter()
+        .map(|&len| {
+            let seg = buf[at..at + len as usize].to_vec();
+            at += len as usize;
+            seg
+        })
+        .collect()
+}
+
+/// An in-flight All-to-All issued by [`Communicator::ialltoall_v`].
 ///
 /// The handle owns the collective's receive state; pass the same
 /// communicator it was issued on back into [`CommHandle::poll`] to
 /// make non-blocking progress and [`CommHandle::wait`] to block for
-/// completion. All sends were issued eagerly at creation, so peers
-/// can complete their receives whether or not this rank ever polls.
+/// completion. The first hop's sends were issued eagerly at creation
+/// (2DH's second hop departs on promotion), so peers can complete
+/// their receives as long as this rank keeps polling or waits.
 ///
 /// Under the reliability layer, the closing ack/epoch exchange runs
 /// in `wait` only — never in `poll` — so every rank executes its
@@ -1329,36 +1098,37 @@ enum HandleState {
 /// dropped, even on error paths: an abandoned handle strands its
 /// peers' messages in the mailbox and the join-time audit will panic.
 pub struct CommHandle {
-    op: &'static str,
-    /// Every tag this collective sends under; the epilogue in `wait`
-    /// retires exactly these from the retransmit log.
+    algo: AllToAllAlgo,
+    /// Every tag this collective sends under (one per hop); the
+    /// epilogue in `wait` retires exactly these from the retransmit
+    /// log.
     tags: Vec<u64>,
-    state: HandleState,
+    /// `(src, tag)` messages the current hop still waits for.
+    pending: Vec<(usize, u64)>,
+    /// Received buffers, indexed by source rank.
+    out: Vec<Vec<f32>>,
+    /// 2DH until the inter-node hop departs: `relay[l][d]` is local
+    /// rank `l`'s buffer for node `d`'s rank with this local index.
+    relay: Option<Vec<Vec<Vec<f32>>>>,
 }
 
 impl CommHandle {
-    /// The collective this handle tracks (`"ialltoall"` or
-    /// `"ialltoall_2dh"`).
-    pub fn op(&self) -> &'static str {
-        self.op
-    }
-
-    /// Whether every chunk has arrived. A complete handle's `wait`
+    /// Whether every buffer has arrived. A complete handle's `wait`
     /// returns without blocking on data (the reliability epilogue, if
     /// armed, still runs there).
     pub fn is_complete(&self) -> bool {
-        matches!(self.state, HandleState::Done { .. })
+        self.pending.is_empty() && self.relay.is_none()
     }
 
     /// Makes non-blocking progress: drains arrivals already queued on
-    /// the endpoint, absorbs the chunks this collective was waiting
-    /// for, and advances the 2DH phase machine. Returns
+    /// the endpoint, absorbs the messages this collective was waiting
+    /// for, and promotes a finished 2DH intra-node hop. Returns
     /// [`Self::is_complete`].
     ///
     /// # Errors
     ///
     /// Propagates transport errors from draining or from issuing the
-    /// 2DH inter-node phase.
+    /// 2DH inter-node hop.
     pub fn poll(&mut self, comm: &mut Communicator) -> Result<bool, CommError> {
         comm.drain_incoming()?;
         self.absorb(comm)?;
@@ -1367,227 +1137,110 @@ impl CommHandle {
 
     /// Blocks until the collective completes, closes it (the
     /// reliability epilogue runs under this handle's tags), and
-    /// returns the received buffer — bitwise identical to what the
-    /// blocking collective would have returned.
+    /// returns one buffer per source rank.
     ///
     /// # Errors
     ///
     /// [`CommError::Disconnected`] if a peer exited mid-collective;
     /// [`CommError::Deadlock`] under the deterministic scheduler;
     /// [`CommError::Timeout`] when an armed retry budget is exhausted.
-    pub fn wait(mut self, comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
-        let span_name = match self.op {
-            "ialltoall" => "ialltoall.wait",
-            _ => "ialltoall_2dh.wait",
-        };
-        let _span = comm.tracer.span(TRACK_COMM, span_name);
+    pub fn wait(mut self, comm: &mut Communicator) -> Result<Vec<Vec<f32>>, CommError> {
+        let _span = comm.tracer.span(TRACK_COMM, "ialltoall_v.wait");
         loop {
+            // absorb promotes a finished intra-node hop, so an empty
+            // pending list afterwards means the collective is done.
             self.absorb(comm)?;
-            // After absorb, an incomplete handle always names a next
-            // source: the only source-less intermediate state (2DH
-            // with the inter-node phase unissued) is resolved by
-            // absorb the moment its last intra-node block lands.
-            let Some((src, tag)) = self.next_pending() else {
+            let Some(&(src, tag)) = self.pending.first() else {
                 break;
             };
             let payload = comm.recv(src, tag)?;
-            self.accept(src, tag, payload);
+            self.pending.remove(0);
+            self.accept(comm, src, payload);
         }
         comm.collective_epilogue(&self.tags)?;
-        match self.state {
-            HandleState::Done { out } => Ok(out),
-            // check:allow(no_panic, the wait loop above only exits in the Done state)
-            _ => unreachable!("CommHandle::wait exited its drain loop before completion"),
-        }
+        Ok(self.out)
     }
 
-    /// The next `(src, tag)` this handle is blocked on, if any.
-    fn next_pending(&self) -> Option<(usize, u64)> {
-        match &self.state {
-            HandleState::Linear { tag, pending, .. } => pending.first().map(|&src| (src, *tag)),
-            HandleState::TwoDh {
-                tag_intra,
-                tag_inter,
-                m,
-                node,
-                local,
-                pending_intra,
-                inter_issued,
-                pending_inter,
-                ..
-            } => {
-                if let Some(&src_local) = pending_intra.first() {
-                    Some((*node * *m + src_local, *tag_intra))
-                } else if *inter_issued {
-                    pending_inter
-                        .first()
-                        .map(|&src_node| (src_node * *m + *local, *tag_inter))
-                } else {
-                    None
+    /// Files a message received from `src` for the current hop.
+    fn accept(&mut self, comm: &Communicator, src: usize, payload: Vec<f32>) {
+        let m = comm.topology.gpus_per_node();
+        match (self.algo, &mut self.relay) {
+            (AllToAllAlgo::Linear, _) => self.out[src] = payload,
+            (AllToAllAlgo::TwoDh, Some(relay)) => {
+                relay[src % m] = unpack(&payload, comm.topology.nnodes());
+            }
+            (AllToAllAlgo::TwoDh, None) => {
+                let first = src - src % m;
+                for (l, seg) in unpack(&payload, m).into_iter().enumerate() {
+                    self.out[first + l] = seg;
                 }
             }
-            HandleState::Done { .. } => None,
         }
     }
 
-    /// Accepts a payload received for `(src, tag)` and re-runs the
-    /// state machine (the arrival may complete a phase).
-    fn accept(&mut self, src: usize, tag: u64, payload: Vec<f32>) {
-        match &mut self.state {
-            HandleState::Linear {
-                chunk,
-                pending,
-                out,
-                ..
-            } => {
-                out[src * *chunk..(src + 1) * *chunk].copy_from_slice(&payload);
-                pending.retain(|&s| s != src);
-            }
-            HandleState::TwoDh {
-                tag_intra,
-                chunk,
-                m,
-                nnodes,
-                local,
-                phase2,
-                pending_intra,
-                out,
-                pending_inter,
-                ..
-            } => {
-                if tag == *tag_intra {
-                    let src_local = src % *m;
-                    let block = *nnodes * *chunk;
-                    phase2[src_local * block..(src_local + 1) * block].copy_from_slice(&payload);
-                    pending_intra.retain(|&l| l != src_local);
-                } else {
-                    let src_node = (src - *local) / *m;
-                    let nblock = *m * *chunk;
-                    out[src_node * nblock..(src_node + 1) * nblock].copy_from_slice(&payload);
-                    pending_inter.retain(|&nd| nd != src_node);
-                }
-            }
-            HandleState::Done { .. } => {}
-        }
-        self.promote();
-    }
-
-    /// Absorbs every already-parked chunk this handle is waiting for
-    /// and advances phases. Never blocks and never runs the epilogue.
+    /// Absorbs every already-parked message this handle is waiting
+    /// for and promotes a finished 2DH intra-node hop (re-absorbing:
+    /// inter-node messages from faster peers may already be parked).
+    /// Never blocks and never runs the epilogue.
     fn absorb(&mut self, comm: &mut Communicator) -> Result<(), CommError> {
-        while let Some((src, tag)) = self.next_takeable(comm) {
-            // next_takeable only names (src, tag) pairs with a parked
-            // message, so the take always yields.
-            if let Some(payload) = comm.take_parked(src, tag) {
-                self.accept(src, tag, payload);
-            }
-        }
-        self.issue_inter_if_ready(comm)
-    }
-
-    /// The first pending `(src, tag)` with a message already parked.
-    fn next_takeable(&self, comm: &Communicator) -> Option<(usize, u64)> {
-        match &self.state {
-            HandleState::Linear { tag, pending, .. } => pending
+        loop {
+            while let Some(i) = self
+                .pending
                 .iter()
-                .map(|&src| (src, *tag))
-                .find(|key| comm.mailbox.contains_key(&(key.0, key.1))),
-            HandleState::TwoDh {
-                tag_intra,
-                tag_inter,
-                m,
-                node,
-                local,
-                pending_intra,
-                inter_issued,
-                pending_inter,
-                ..
-            } => {
-                let intra = pending_intra
-                    .iter()
-                    .map(|&l| (*node * *m + l, *tag_intra))
-                    .find(|key| comm.mailbox.contains_key(&(key.0, key.1)));
-                if intra.is_some() {
-                    return intra;
-                }
-                if *inter_issued {
-                    pending_inter
-                        .iter()
-                        .map(|&nd| (nd * *m + *local, *tag_inter))
-                        .find(|key| comm.mailbox.contains_key(&(key.0, key.1)))
-                } else {
-                    None
+                .position(|key| comm.mailbox.contains_key(key))
+            {
+                let (src, tag) = self.pending.remove(i);
+                // position() found a parked message under this key, so
+                // the take always yields.
+                if let Some(payload) = comm.take_parked(src, tag) {
+                    self.accept(comm, src, payload);
                 }
             }
-            HandleState::Done { .. } => None,
+            if !self.promote(comm)? {
+                return Ok(());
+            }
         }
     }
 
-    /// Runs 2DH phases 3–4 (align + inter-node sends) once the last
-    /// intra-node block has landed, then re-absorbs: inter-node blocks
-    /// from faster peers may already be parked.
-    fn issue_inter_if_ready(&mut self, comm: &mut Communicator) -> Result<(), CommError> {
-        let HandleState::TwoDh {
-            tag_inter,
-            chunk,
-            m,
-            nnodes,
-            node,
-            local,
-            phase2,
-            pending_intra,
-            inter_issued,
-            out,
-            ..
-        } = &mut self.state
-        else {
-            return Ok(());
-        };
-        if *inter_issued || !pending_intra.is_empty() {
-            return Ok(());
+    /// Sends the 2DH inter-node hop once the last intra-node message
+    /// has landed: each remote node gets this node's buffers for it,
+    /// in source local-rank order. Returns whether it promoted.
+    fn promote(&mut self, comm: &mut Communicator) -> Result<bool, CommError> {
+        if !self.pending.is_empty() {
+            return Ok(false);
         }
-        let phase3 = stride_memcpy(phase2, *chunk, *nnodes, *m);
-        let nblock = *m * *chunk;
-        for dst_node in 0..*nnodes {
-            if dst_node != *node {
-                let dst = dst_node * *m + *local;
-                comm.send(
-                    dst,
-                    *tag_inter,
-                    phase3[dst_node * nblock..(dst_node + 1) * nblock].to_vec(),
-                )?;
+        let Some(relay) = self.relay.take() else {
+            return Ok(false);
+        };
+        let m = comm.topology.gpus_per_node();
+        let nnodes = comm.topology.nnodes();
+        let node = comm.topology.node_of(comm.rank);
+        let local = comm.topology.local_rank(comm.rank);
+        let tag = self.tags[1];
+        let mut by_node: Vec<Vec<Vec<f32>>> = (0..nnodes).map(|_| Vec::with_capacity(m)).collect();
+        for bucket in relay {
+            for (dst_node, buf) in bucket.into_iter().enumerate() {
+                by_node[dst_node].push(buf);
             }
         }
-        out[*node * nblock..(*node + 1) * nblock]
-            .copy_from_slice(&phase3[*node * nblock..(*node + 1) * nblock]);
-        *inter_issued = true;
-        // The moment the 2DH phase machine promotes from the
-        // intra-node to the inter-node exchange — visible on the
-        // timeline between the two tag families' flow edges.
+        for (dst_node, bufs) in by_node.into_iter().enumerate() {
+            if dst_node == node {
+                for (l, buf) in bufs.into_iter().enumerate() {
+                    self.out[node * m + l] = buf;
+                }
+            } else {
+                comm.send(dst_node * m + local, tag, pack(&bufs))?;
+            }
+        }
+        self.pending = (0..nnodes)
+            .filter(|&d| d != node)
+            .map(|d| (d * m + local, tag))
+            .collect();
+        // The moment the handle moves from the intra-node to the
+        // inter-node hop — visible on the timeline between the two
+        // tag families' flow edges.
         comm.tracer.instant(TRACK_COMM, "2dh.promote");
-        self.promote();
-        self.absorb(comm)
-    }
-
-    /// Moves the state to `Done` when nothing is pending anymore.
-    fn promote(&mut self) {
-        let finished = match &mut self.state {
-            HandleState::Linear { pending, out, .. } => {
-                pending.is_empty().then(|| std::mem::take(out))
-            }
-            HandleState::TwoDh {
-                pending_intra,
-                inter_issued,
-                out,
-                pending_inter,
-                ..
-            } => (*inter_issued && pending_intra.is_empty() && pending_inter.is_empty())
-                .then(|| std::mem::take(out)),
-            HandleState::Done { .. } => None,
-        };
-        if let Some(out) = finished {
-            self.state = HandleState::Done { out };
-        }
+        Ok(true)
     }
 }
 
@@ -1614,90 +1267,59 @@ impl Drop for Communicator {
 
 /// Runs `program` once per rank, each on its own parked rank worker
 /// thread with its own [`Communicator`], and returns the per-rank
-/// results in rank order.
-///
-/// Workers are reused across calls (see the module docs): a call
-/// spawns threads only while the process has fewer idle workers than
-/// ranks. The call blocks until every rank has finished.
+/// results in rank order. Shorthand for [`run_threaded_with`] with
+/// default [`RunOpts`]: no reliability layer, no tracing.
 ///
 /// # Example
 ///
 /// ```
 /// use tutel_comm::runtime::run_threaded;
+/// use tutel_comm::AllToAllAlgo;
 /// use tutel_simgpu::Topology;
 ///
 /// let results = run_threaded(Topology::new(2, 2), |mut comm| {
 ///     let rank = comm.rank() as f32;
-///     comm.all_to_all(&[rank; 4]).unwrap()
+///     let handle = comm.ialltoall_v(vec![vec![rank]; 4], AllToAllAlgo::TwoDh).unwrap();
+///     handle.wait(&mut comm).unwrap()
 /// });
-/// // Rank 0 received one element from each rank.
-/// assert_eq!(results[0], vec![0.0, 1.0, 2.0, 3.0]);
+/// // Rank 0 received one buffer from each rank.
+/// assert_eq!(results[0], vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if any rank's program panics: once every rank has finished,
-/// the lowest such rank's payload is re-raised on the caller's thread,
-/// and its worker stays usable. Panics if a needed worker thread
-/// cannot be spawned. Aborts the process if a rank can never report
-/// (its worker is gone), since returning would free data that rank
-/// may still borrow.
+/// As [`run_threaded_with`].
 pub fn run_threaded<F, R>(topology: Topology, program: F) -> Vec<R>
 where
     F: Fn(Communicator) -> R + Send + Sync,
     R: Send,
 {
-    run_threaded_impl(topology, None, None, program)
+    run_threaded_with(topology, RunOpts::default(), program)
 }
 
-/// Like [`run_threaded`], but arms each rank's communicator with a
-/// [`Tracer`] from `hub`, so every collective records comm-track spans
-/// and `(src, dst, tag, seq)`-stamped flow edges on the hub's shared
-/// timebase. After the run, merge and export via
-/// [`TraceHub::export_rank_jsonls`] or [`TraceHub::merged`].
-pub fn run_threaded_traced<F, R>(topology: Topology, hub: &TraceHub, program: F) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_threaded_impl(topology, None, Some(hub), program)
-}
-
-/// [`run_threaded_reliable`] with causal tracing armed: retransmits,
-/// duplicate discards, and the ack phase all become visible timeline
-/// events, which is what lets the straggler analyzer attribute an
-/// injected per-rank fault to its source.
-pub fn run_threaded_reliable_traced<F, R>(
-    topology: Topology,
-    cfg: ReliableConfig,
-    hub: &TraceHub,
-    program: F,
-) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_threaded_impl(topology, Some(cfg), Some(hub), program)
-}
-
-/// Like [`run_threaded`], but arms the reliability layer on every
-/// rank: sends are logged for retransmission, receives time out and
-/// retry with backoff per `cfg.policy`, each collective ends with an
-/// acknowledgement phase, and an optional [`FaultPlan`] injects
-/// seeded, replayable faults into data transmissions.
-///
-/// Fault-free, a reliable run produces bitwise the same collective
-/// results as [`run_threaded`]; with a recoverable plan (and a
-/// nonzero retry budget) it still does — that is the graceful-
-/// degradation property the conformance harness asserts. Unrecoverable
-/// plans surface [`CommError::Timeout`] within the policy's bounded
-/// wait instead of hanging.
-pub fn run_threaded_reliable<F, R>(topology: Topology, cfg: ReliableConfig, program: F) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_threaded_impl(topology, Some(cfg), None, program)
+/// The two choices a [`run_threaded_with`] launch makes.
+#[derive(Clone, Default)]
+pub struct RunOpts<'a> {
+    /// Arms the reliability layer on every rank: sends are logged for
+    /// retransmission, receives time out and retry with backoff per
+    /// the policy, each collective ends with an acknowledgement phase,
+    /// and an optional [`FaultPlan`] injects seeded, replayable faults
+    /// into data transmissions.
+    ///
+    /// Fault-free, a reliable run produces bitwise the same collective
+    /// results as an unreliable one; with a recoverable plan (and a
+    /// nonzero retry budget) it still does — that is the graceful-
+    /// degradation property the conformance harness asserts.
+    /// Unrecoverable plans surface [`CommError::Timeout`] within the
+    /// policy's bounded wait instead of hanging.
+    pub reliable: Option<ReliableConfig>,
+    /// Arms each rank's communicator with a [`Tracer`] from this hub,
+    /// so every collective records comm-track spans and
+    /// `(src, dst, tag, seq)`-stamped flow edges on the hub's shared
+    /// timebase — retransmits, duplicate discards and the ack phase
+    /// included. After the run, merge and export via
+    /// [`TraceHub::export_rank_jsonls`] or [`TraceHub::merged`].
+    pub trace: Option<&'a TraceHub>,
 }
 
 /// A rank job as a parked worker receives it. The job catches its
@@ -1752,16 +1374,31 @@ fn abort_lost_rank(what: &str) -> ! {
     std::process::abort()
 }
 
-fn run_threaded_impl<F, R>(
-    topology: Topology,
-    cfg: Option<ReliableConfig>,
-    hub: Option<&TraceHub>,
-    program: F,
-) -> Vec<R>
+/// Runs `program` once per rank under `opts`, each rank on its own
+/// parked rank worker thread with its own [`Communicator`], and
+/// returns the per-rank results in rank order.
+///
+/// Workers are reused across calls (see the module docs): a call
+/// spawns threads only while the process has fewer idle workers than
+/// ranks. The call blocks until every rank has finished.
+///
+/// # Panics
+///
+/// Panics if any rank's program panics: once every rank has finished,
+/// the lowest such rank's payload is re-raised on the caller's thread,
+/// and its worker stays usable. Panics if a needed worker thread
+/// cannot be spawned. Aborts the process if a rank can never report
+/// (its worker is gone), since returning would free data that rank
+/// may still borrow.
+pub fn run_threaded_with<F, R>(topology: Topology, opts: RunOpts<'_>, program: F) -> Vec<R>
 where
     F: Fn(Communicator) -> R + Send + Sync,
     R: Send,
 {
+    let RunOpts {
+        reliable: cfg,
+        trace: hub,
+    } = opts;
     let n = topology.world_size();
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
@@ -1843,7 +1480,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{linear_all_to_all, two_dh_all_to_all, RankBuffers};
+    use crate::{linear_all_to_all, ragged_all_to_all, two_dh_all_to_all, RankBuffers};
     use tutel_obs::trace::TraceHub;
 
     fn labeled(n: usize, chunk: usize) -> RankBuffers {
@@ -1852,40 +1489,43 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn threaded_linear_matches_sequential() {
-        let topo = Topology::new(2, 3);
-        let bufs = labeled(6, 4);
-        let expect = linear_all_to_all(&bufs);
-        let bufs_ref = &bufs;
-        let got = run_threaded(topo, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
-        });
-        assert_eq!(got, expect);
+    /// A fixed-size exchange of a flat `(W, chunk)` buffer: the
+    /// uniform-count case of `ialltoall_v`, flattened back in source
+    /// order — the layout of the sequential oracles.
+    fn exchange(comm: &mut Communicator, input: &[f32], algo: AllToAllAlgo) -> Vec<f32> {
+        let sends = comm.uniform_sends(input).unwrap();
+        ialltoall_v(comm, sends, algo).unwrap().concat()
     }
 
-    #[test]
-    fn threaded_2dh_matches_sequential() {
-        let topo = Topology::new(2, 4);
-        let bufs = labeled(8, 3);
-        let expect = two_dh_all_to_all(&bufs, &topo);
-        let bufs_ref = &bufs;
-        let got = run_threaded(topo, |mut comm| {
-            comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
-        });
-        assert_eq!(got, expect);
+    fn ialltoall_v(
+        comm: &mut Communicator,
+        sends: Vec<Vec<f32>>,
+        algo: AllToAllAlgo,
+    ) -> Result<Vec<Vec<f32>>, CommError> {
+        comm.ialltoall_v(sends, algo)?.wait(comm)
     }
 
+    /// The acceptance topologies: single rank, one node, one GPU per
+    /// node, and both axes at once.
+    const TOPOLOGIES: [(usize, usize); 6] = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (2, 3)];
+
     #[test]
-    fn threaded_2dh_single_node() {
-        let topo = Topology::single_node(4);
-        let bufs = labeled(4, 2);
-        let expect = linear_all_to_all(&bufs);
-        let bufs_ref = &bufs;
-        let got = run_threaded(topo, |mut comm| {
-            comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
-        });
-        assert_eq!(got, expect);
+    fn uniform_exchange_matches_sequential_oracles() {
+        for (nnodes, gpn) in TOPOLOGIES {
+            let topo = Topology::new(nnodes, gpn);
+            let bufs = labeled(topo.world_size(), 3);
+            let bufs_ref = &bufs;
+            for (algo, expect) in [
+                (AllToAllAlgo::Linear, linear_all_to_all(&bufs)),
+                (AllToAllAlgo::TwoDh, two_dh_all_to_all(&bufs, &topo)),
+            ] {
+                let got = run_threaded(topo, |mut comm| {
+                    let rank = comm.rank();
+                    exchange(&mut comm, &bufs_ref[rank], algo)
+                });
+                assert_eq!(got, expect, "{algo:?} at {nnodes}x{gpn}");
+            }
+        }
     }
 
     /// Ragged per-destination buffers: rank `r` sends `r*n + d` copies
@@ -1898,42 +1538,39 @@ mod tests {
     }
 
     #[test]
-    fn threaded_all_to_all_v_delivers_ragged_buffers() {
+    fn all_to_all_v_delivers_ragged_buffers() {
         let n = 6;
         let topo = Topology::new(2, 3);
         let got = run_threaded(topo, |mut comm| {
             comm.all_to_all_v(&ragged_sends(n, comm.rank())).unwrap()
         });
-        for (rank, recvd) in got.into_iter().enumerate() {
-            for (src, buf) in recvd.into_iter().enumerate() {
-                assert_eq!(buf, ragged_sends(n, src)[rank], "src {src} → dst {rank}");
-            }
+        let sends: Vec<_> = (0..n).map(|r| ragged_sends(n, r)).collect();
+        assert_eq!(got, ragged_all_to_all(&sends));
+    }
+
+    #[test]
+    fn ragged_2dh_matches_ragged_linear() {
+        for (nnodes, gpn) in TOPOLOGIES {
+            let topo = Topology::new(nnodes, gpn);
+            let n = topo.world_size();
+            let got = run_threaded(topo, |mut comm| {
+                let sends = ragged_sends(n, comm.rank());
+                let lin = ialltoall_v(&mut comm, sends.clone(), AllToAllAlgo::Linear).unwrap();
+                let hier = ialltoall_v(&mut comm, sends, AllToAllAlgo::TwoDh).unwrap();
+                assert_eq!(lin, hier, "2DH route diverged from linear");
+                lin
+            });
+            let sends: Vec<_> = (0..n).map(|r| ragged_sends(n, r)).collect();
+            assert_eq!(got, ragged_all_to_all(&sends), "{nnodes}x{gpn}");
         }
     }
 
     #[test]
-    fn threaded_all_to_all_v_2dh_matches_linear_v() {
-        let n = 8;
-        let topo = Topology::new(2, 4);
-        let got = run_threaded(topo, |mut comm| {
-            let sends = ragged_sends(n, comm.rank());
-            let lin = comm.all_to_all_v(&sends).unwrap();
-            let hier = comm.all_to_all_v_2dh(&sends).unwrap();
-            assert_eq!(lin, hier, "2DH v-route diverged from linear v");
-            lin
-        });
-        for (rank, recvd) in got.into_iter().enumerate() {
-            for (src, buf) in recvd.into_iter().enumerate() {
-                assert_eq!(buf, ragged_sends(n, src)[rank]);
-            }
-        }
-    }
-
-    #[test]
-    fn all_to_all_v_rejects_wrong_send_count() {
+    fn ialltoall_v_rejects_wrong_send_count() {
         let topo = Topology::single_node(2);
         let got = run_threaded(topo, |mut comm| {
-            comm.all_to_all_v(&[vec![1.0]]).is_err() && comm.all_to_all_v_2dh(&[]).is_err()
+            comm.all_to_all_v(&[vec![1.0]]).is_err()
+                && comm.ialltoall_v(Vec::new(), AllToAllAlgo::TwoDh).is_err()
         });
         assert!(got.into_iter().all(|b| b));
     }
@@ -1958,7 +1595,7 @@ mod tests {
             let mine: Vec<f32> = (0..8).map(|i| (comm.rank() * 8 + i) as f32).collect();
             comm.all_reduce_sum(&mine).unwrap()
         });
-        // Sum over ranks of (r*8 + i) = 4i + 8·(0+1+2+3) = 4i + 48.
+        // Sum over ranks of (r*8 + i) = 4i + 48.
         let expect: Vec<f32> = (0..8).map(|i| 4.0 * i as f32 + 48.0).collect();
         for r in got {
             assert_eq!(r, expect);
@@ -1967,26 +1604,32 @@ mod tests {
 
     #[test]
     fn sent_payload_elems_counts_data_volume() {
-        // A 4-rank linear all-to-all sends chunk-sized payloads to the
-        // 3 peers (the self-chunk is a local copy, not a wire send).
-        let topo = Topology::single_node(4);
+        // Linear: a 4-rank exchange sends chunk-sized payloads to the
+        // 3 peers (the self-chunk is a local move, not a wire send).
+        // 2DH at 2x2: one intra-node message (2 chunks + a 2-entry
+        // header) and one inter-node message (2 chunks + a 2-entry
+        // header).
+        let topo = Topology::new(2, 2);
         let chunk = 5;
         let bufs = labeled(4, chunk);
         let bufs_ref = &bufs;
-        let counts = run_threaded(topo, |mut comm| {
-            let before = comm.sent_payload_elems();
-            assert_eq!(before, 0);
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap();
-            comm.sent_payload_elems() - before
-        });
-        for c in counts {
-            assert_eq!(c, 3 * chunk as u64);
+        for (algo, per_rank) in [
+            (AllToAllAlgo::Linear, 3 * chunk as u64),
+            (AllToAllAlgo::TwoDh, 2 * (2 * chunk as u64 + 2)),
+        ] {
+            let counts = run_threaded(topo, |mut comm| {
+                assert_eq!(comm.sent_payload_elems(), 0);
+                let rank = comm.rank();
+                exchange(&mut comm, &bufs_ref[rank], algo);
+                comm.sent_payload_elems()
+            });
+            assert_eq!(counts, vec![per_rank; 4], "{algo:?}");
         }
     }
 
     #[test]
     fn back_to_back_collectives_do_not_cross_talk() {
-        // Two all-to-alls in a row with different data: tags must keep
+        // Two exchanges in a row with different data: tags must keep
         // them separate even though ranks proceed at different speeds.
         let topo = Topology::new(2, 2);
         let a = labeled(4, 2);
@@ -1997,8 +1640,9 @@ mod tests {
         let (ea, eb) = (linear_all_to_all(&a), linear_all_to_all(&b));
         let (ra, rb) = (&a, &b);
         let got = run_threaded(topo, |mut comm| {
-            let first = comm.all_to_all(&ra[comm.rank()]).unwrap();
-            let second = comm.all_to_all(&rb[comm.rank()]).unwrap();
+            let rank = comm.rank();
+            let first = exchange(&mut comm, &ra[rank], AllToAllAlgo::Linear);
+            let second = exchange(&mut comm, &rb[rank], AllToAllAlgo::TwoDh);
             (first, second)
         });
         for (rank, (first, second)) in got.into_iter().enumerate() {
@@ -2025,7 +1669,7 @@ mod tests {
     fn single_rank_degenerate_cases() {
         let topo = Topology::single_node(1);
         let got = run_threaded(topo, |mut comm| {
-            let a = comm.all_to_all(&[1.0, 2.0]).unwrap();
+            let a = exchange(&mut comm, &[1.0, 2.0], AllToAllAlgo::Linear);
             let b = comm.all_reduce_sum(&[3.0]).unwrap();
             let c = comm.all_gather(&[4.0]).unwrap();
             (a, b, c)
@@ -2036,7 +1680,11 @@ mod tests {
     #[test]
     fn indivisible_buffer_is_a_typed_error() {
         let topo = Topology::new(1, 2);
-        let got = run_threaded(topo, |mut comm| comm.all_to_all(&[1.0, 2.0, 3.0]));
+        let got = run_threaded(topo, |mut comm| {
+            let err = Err(CommError::Indivisible { len: 3, chunks: 2 });
+            assert_eq!(comm.uniform_sends(&[1.0, 2.0, 3.0]), err);
+            comm.all_reduce_sum(&[1.0, 2.0, 3.0])
+        });
         for r in got {
             assert_eq!(r, Err(CommError::Indivisible { len: 3, chunks: 2 }));
         }
@@ -2114,7 +1762,8 @@ mod tests {
         let bufs_ref = &bufs;
         for _ in 0..8 {
             let got = run_threaded(topo, |mut comm| {
-                comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+                let rank = comm.rank();
+                exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::Linear)
             });
             assert_eq!(got, expect);
         }
@@ -2149,7 +1798,8 @@ mod tests {
                         let expect = linear_all_to_all(&bufs);
                         let bufs_ref = &bufs;
                         let got = run_threaded(topo, |mut comm| {
-                            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+                            let rank = comm.rank();
+                            exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::Linear)
                         });
                         assert_eq!(got, expect, "caller {caller} iteration {iter}");
                     }
@@ -2163,9 +1813,11 @@ mod tests {
         let outer = run_threaded(Topology::new(1, 2), |mut comm| {
             let base = 10.0 * comm.rank() as f32;
             let inner = run_threaded(Topology::new(1, 2), |mut inner| {
-                inner.all_to_all(&[base + inner.rank() as f32; 2]).unwrap()
+                let mine = [base + inner.rank() as f32; 2];
+                exchange(&mut inner, &mine, AllToAllAlgo::Linear)
             });
-            let exchanged = comm.all_to_all(&[comm.rank() as f32; 2]).unwrap();
+            let mine = [comm.rank() as f32; 2];
+            let exchanged = exchange(&mut comm, &mine, AllToAllAlgo::Linear);
             (inner, exchanged)
         });
         for (rank, (inner, exchanged)) in outer.iter().enumerate() {
@@ -2186,36 +1838,58 @@ mod tests {
         }
     }
 
+    fn reliable(cfg: ReliableConfig) -> RunOpts<'static> {
+        RunOpts {
+            reliable: Some(cfg),
+            trace: None,
+        }
+    }
+
+    fn injected(telemetry: &Telemetry) -> u64 {
+        ["drops", "dups", "delays"]
+            .iter()
+            .map(|k| {
+                telemetry
+                    .counter_value(&format!("comm.retry.injected_{k}"))
+                    .unwrap_or(0)
+            })
+            .sum()
+    }
+
+    /// Every collective once: both All-to-All routes on uniform and on
+    /// ragged (some empty) buffers, then the two rings.
+    fn every_collective(mut comm: Communicator, bufs: &RankBuffers) -> Vec<Vec<Vec<f32>>> {
+        let rank = comm.rank();
+        let n = comm.world_size();
+        let mut out = Vec::new();
+        for algo in AllToAllAlgo::ALL {
+            out.push(vec![exchange(&mut comm, &bufs[rank], algo)]);
+            out.push(ialltoall_v(&mut comm, ragged_sends(n, rank), algo).unwrap());
+        }
+        out.push(vec![comm.all_gather(&bufs[rank]).unwrap()]);
+        out.push(vec![comm.all_reduce_sum(&bufs[rank]).unwrap()]);
+        assert_eq!(comm.parked_messages(), 0);
+        out
+    }
+
     #[test]
     fn reliable_without_faults_matches_plain_run() {
         let topo = Topology::new(2, 2);
         let bufs = labeled(4, 3);
-        let bufs_ref = &bufs;
-        let program = |mut comm: Communicator| {
-            let a = comm.all_to_all(&bufs_ref[comm.rank()]).unwrap();
-            let b = comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap();
-            let c = comm.all_gather(&bufs_ref[comm.rank()]).unwrap();
-            let d = comm.all_reduce_sum(&bufs_ref[comm.rank()]).unwrap();
-            (a, b, c, d)
-        };
+        let program = |comm: Communicator| every_collective(comm, &bufs);
         let plain = run_threaded(topo, program);
-        let reliable = run_threaded_reliable(topo, ReliableConfig::default(), program);
-        assert_eq!(plain, reliable);
+        let rel = run_threaded_with(topo, reliable(ReliableConfig::default()), program);
+        assert_eq!(plain, rel);
     }
 
     #[test]
     fn injected_faults_recover_to_identical_results() {
+        // Drops/dups/delays on uniform and ragged (including empty)
+        // payloads, over both routes, must recover to the bitwise
+        // fault-free result.
         let topo = Topology::new(2, 2);
         let bufs = labeled(4, 3);
-        let bufs_ref = &bufs;
-        let program = |mut comm: Communicator| {
-            let a = comm.all_to_all(&bufs_ref[comm.rank()]).unwrap();
-            let b = comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap();
-            let c = comm.all_gather(&bufs_ref[comm.rank()]).unwrap();
-            let d = comm.all_reduce_sum(&bufs_ref[comm.rank()]).unwrap();
-            assert_eq!(comm.parked_messages(), 0);
-            (a, b, c, d)
-        };
+        let program = |comm: Communicator| every_collective(comm, &bufs);
         let plain = run_threaded(topo, program);
         let telemetry = Telemetry::enabled();
         let cfg = ReliableConfig {
@@ -2228,18 +1902,12 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
-        assert_eq!(plain, reliable, "faulted run diverged from plain run");
-        let injected = telemetry
-            .counter_value("comm.retry.injected_drops")
-            .unwrap_or(0)
-            + telemetry
-                .counter_value("comm.retry.injected_dups")
-                .unwrap_or(0)
-            + telemetry
-                .counter_value("comm.retry.injected_delays")
-                .unwrap_or(0);
-        assert!(injected > 0, "plan injected nothing — test is vacuous");
+        let rel = run_threaded_with(topo, reliable(cfg), program);
+        assert_eq!(plain, rel, "faulted run diverged from plain run");
+        assert!(
+            injected(&telemetry) > 0,
+            "plan injected nothing — test is vacuous"
+        );
         assert_eq!(
             telemetry.counter_value("comm.retry.timeouts").unwrap_or(0),
             0,
@@ -2250,15 +1918,14 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_recover_ragged_v_collectives() {
-        // The dropless serve path rides these: drops/dups/delays on
-        // variable-length (including empty) payloads must recover to
-        // the bitwise fault-free result.
+    fn injected_faults_recover_ragged_exchanges() {
+        // The dropless serve path rides these: a second seed over the
+        // ragged exchanges alone, on both routes.
         let topo = Topology::new(2, 2);
         let program = |mut comm: Communicator| {
             let sends = ragged_sends(4, comm.rank());
-            let a = comm.all_to_all_v(&sends).unwrap();
-            let b = comm.all_to_all_v_2dh(&sends).unwrap();
+            let a = ialltoall_v(&mut comm, sends.clone(), AllToAllAlgo::Linear).unwrap();
+            let b = ialltoall_v(&mut comm, sends, AllToAllAlgo::TwoDh).unwrap();
             (a, b)
         };
         let plain = run_threaded(topo, program);
@@ -2273,46 +1940,43 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
-        assert_eq!(plain, reliable, "faulted ragged run diverged");
-        let injected = telemetry
-            .counter_value("comm.retry.injected_drops")
-            .unwrap_or(0)
-            + telemetry
-                .counter_value("comm.retry.injected_dups")
-                .unwrap_or(0)
-            + telemetry
-                .counter_value("comm.retry.injected_delays")
-                .unwrap_or(0);
-        assert!(injected > 0, "plan injected nothing — test is vacuous");
+        let rel = run_threaded_with(topo, reliable(cfg), program);
+        assert_eq!(plain, rel, "faulted ragged run diverged");
+        assert!(
+            injected(&telemetry) > 0,
+            "plan injected nothing — test is vacuous"
+        );
     }
 
     #[test]
     fn exhausted_retries_fail_with_typed_timeout_and_no_leak() {
-        let topo = Topology::new(1, 2);
-        let telemetry = Telemetry::enabled();
-        let cfg = ReliableConfig {
-            policy: fast_policy(0),
-            plan: Some(FaultPlan::new(9).with_drops(100)),
-            telemetry: telemetry.clone(),
-        };
-        let started = std::time::Instant::now();
-        let got = run_threaded_reliable(topo, cfg, |mut comm| {
-            let r = comm.all_to_all(&[comm.rank() as f32; 2]);
-            (r, comm.parked_messages())
-        });
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "clean failure must be bounded by the timeout, not a hang"
-        );
-        for (rank, (result, parked)) in got.into_iter().enumerate() {
-            match result {
-                Err(CommError::Timeout { attempts, .. }) => assert_eq!(attempts, 1),
-                other => panic!("rank {rank}: expected Timeout, got {other:?}"),
+        for algo in AllToAllAlgo::ALL {
+            let topo = Topology::new(1, 2);
+            let telemetry = Telemetry::enabled();
+            let cfg = ReliableConfig {
+                policy: fast_policy(0),
+                plan: Some(FaultPlan::new(9).with_drops(100)),
+                telemetry: telemetry.clone(),
+            };
+            let started = std::time::Instant::now();
+            let got = run_threaded_with(topo, reliable(cfg), |mut comm| {
+                let mine = vec![vec![comm.rank() as f32]; 2];
+                let r = ialltoall_v(&mut comm, mine, algo);
+                (r, comm.parked_messages())
+            });
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "clean failure must be bounded by the timeout, not a hang"
+            );
+            for (rank, (result, parked)) in got.into_iter().enumerate() {
+                match result {
+                    Err(CommError::Timeout { attempts, .. }) => assert_eq!(attempts, 1),
+                    other => panic!("{algo:?} rank {rank}: expected Timeout, got {other:?}"),
+                }
+                assert_eq!(parked, 0, "rank {rank}: failed collective leaked mailbox");
             }
-            assert_eq!(parked, 0, "rank {rank}: failed collective leaked mailbox");
+            assert!(telemetry.counter_value("comm.retry.timeouts").unwrap_or(0) >= 2);
         }
-        assert!(telemetry.counter_value("comm.retry.timeouts").unwrap_or(0) >= 2);
     }
 
     #[test]
@@ -2320,7 +1984,10 @@ mod tests {
         let topo = Topology::new(1, 2);
         let bufs = labeled(2, 4);
         let bufs_ref = &bufs;
-        let program = |mut comm: Communicator| comm.all_to_all(&bufs_ref[comm.rank()]).unwrap();
+        let program = |mut comm: Communicator| {
+            let rank = comm.rank();
+            exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::Linear)
+        };
         let plain = run_threaded(topo, program);
         let telemetry = Telemetry::enabled();
         let cfg = ReliableConfig {
@@ -2328,8 +1995,8 @@ mod tests {
             plan: Some(FaultPlan::new(4).with_duplicates(100)),
             telemetry: telemetry.clone(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
-        assert_eq!(plain, reliable);
+        let rel = run_threaded_with(topo, reliable(cfg), program);
+        assert_eq!(plain, rel);
         assert!(
             telemetry
                 .counter_value("comm.retry.dup_discards")
@@ -2340,61 +2007,46 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_linear_matches_blocking_bitwise() {
+    fn polled_linear_handle_matches_sequential_oracle() {
         let topo = Topology::new(2, 3);
         let bufs = labeled(6, 4);
         let bufs_ref = &bufs;
-        let blocking = run_threaded(topo, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
-        });
-        let nonblocking = run_threaded(topo, |mut comm| {
-            let mut h = comm.ialltoall(&bufs_ref[comm.rank()]).unwrap();
+        let got = run_threaded(topo, |mut comm| {
+            let sends = bufs_ref[comm.rank()]
+                .chunks(4)
+                .map(<[f32]>::to_vec)
+                .collect();
+            let mut h = comm.ialltoall_v(sends, AllToAllAlgo::Linear).unwrap();
             // A few polls are legal at any point before the wait.
             let _ = h.poll(&mut comm).unwrap();
             let _ = h.poll(&mut comm).unwrap();
             let out = h.wait(&mut comm).unwrap();
             assert_eq!(comm.parked_messages(), 0);
-            out
+            out.concat()
         });
-        assert_eq!(blocking, nonblocking);
+        assert_eq!(got, linear_all_to_all(&bufs));
     }
 
     #[test]
-    fn nonblocking_2dh_matches_blocking_bitwise() {
+    fn polled_2dh_handle_matches_sequential_oracle() {
         let topo = Topology::new(2, 4);
         let bufs = labeled(8, 2);
         let bufs_ref = &bufs;
-        let blocking = run_threaded(topo, |mut comm| {
-            comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
-        });
-        let nonblocking = run_threaded(topo, |mut comm| {
-            let mut h = comm.ialltoall_2dh(&bufs_ref[comm.rank()]).unwrap();
+        let got = run_threaded(topo, |mut comm| {
+            let sends = bufs_ref[comm.rank()]
+                .chunks(2)
+                .map(<[f32]>::to_vec)
+                .collect();
+            let mut h = comm.ialltoall_v(sends, AllToAllAlgo::TwoDh).unwrap();
             while !h.poll(&mut comm).unwrap() {
                 std::thread::yield_now();
             }
             assert!(h.is_complete());
             let out = h.wait(&mut comm).unwrap();
             assert_eq!(comm.parked_messages(), 0);
-            out
+            out.concat()
         });
-        assert_eq!(blocking, nonblocking);
-    }
-
-    #[test]
-    fn nonblocking_2dh_single_node_and_single_rank() {
-        for topo in [Topology::single_node(1), Topology::single_node(4)] {
-            let n = topo.world_size();
-            let bufs = labeled(n, 3);
-            let bufs_ref = &bufs;
-            let blocking = run_threaded(topo, |mut comm| {
-                comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
-            });
-            let nonblocking = run_threaded(topo, |mut comm| {
-                let h = comm.ialltoall_2dh(&bufs_ref[comm.rank()]).unwrap();
-                h.wait(&mut comm).unwrap()
-            });
-            assert_eq!(blocking, nonblocking, "world {n}");
-        }
+        assert_eq!(got, two_dh_all_to_all(&bufs, &topo));
     }
 
     #[test]
@@ -2405,35 +2057,39 @@ mod tests {
         // clean at join.
         let topo = Topology::new(2, 2);
         let n = topo.world_size();
-        let expected_a = run_threaded(topo, |mut comm| {
-            comm.all_to_all(&vec![comm.rank() as f32; n * 2]).unwrap()
-        });
-        let expected_b = run_threaded(topo, |mut comm| {
-            comm.all_to_all_2dh(&vec![100.0 + comm.rank() as f32; n * 2])
-                .unwrap()
-        });
+        let sends: Vec<_> = (0..n).map(|r| ragged_sends(n, r)).collect();
+        let expect = ragged_all_to_all(&sends);
         let got = run_threaded(topo, |mut comm| {
-            let a_in = vec![comm.rank() as f32; n * 2];
-            let b_in = vec![100.0 + comm.rank() as f32; n * 2];
-            let mut ha = comm.ialltoall(&a_in).unwrap();
-            let mut hb = comm.ialltoall_2dh(&b_in).unwrap();
+            let rank = comm.rank();
+            let b_in: Vec<Vec<f32>> = sends[rank]
+                .iter()
+                .map(|b| b.iter().map(|v| v + 0.5).collect())
+                .collect();
+            let mut ha = comm
+                .ialltoall_v(sends[rank].clone(), AllToAllAlgo::Linear)
+                .unwrap();
+            let mut hb = comm.ialltoall_v(b_in, AllToAllAlgo::TwoDh).unwrap();
             let _ = hb.poll(&mut comm).unwrap();
             let _ = ha.poll(&mut comm).unwrap();
             let a = ha.wait(&mut comm).unwrap();
             let b = hb.wait(&mut comm).unwrap();
-            let c = comm.all_to_all(&a_in).unwrap();
+            let c = comm.all_to_all_v(&sends[rank]).unwrap();
             assert_eq!(comm.parked_messages(), 0);
             (a, b, c)
         });
         for (rank, (a, b, c)) in got.into_iter().enumerate() {
-            assert_eq!(a, expected_a[rank], "rank {rank}: first handle");
-            assert_eq!(b, expected_b[rank], "rank {rank}: second handle");
-            assert_eq!(c, expected_a[rank], "rank {rank}: trailing blocking op");
+            let shifted: Vec<Vec<f32>> = expect[rank]
+                .iter()
+                .map(|b| b.iter().map(|v| v + 0.5).collect())
+                .collect();
+            assert_eq!(a, expect[rank], "rank {rank}: first handle");
+            assert_eq!(b, shifted, "rank {rank}: second handle");
+            assert_eq!(c, expect[rank], "rank {rank}: trailing blocking op");
         }
     }
 
     #[test]
-    fn reliable_ialltoall_recovers_with_second_handle_in_flight() {
+    fn reliable_handles_recover_with_second_handle_in_flight() {
         // The overlap regression the tag-selective epilogue exists
         // for: handle B's sends are logged before handle A's epilogue
         // runs, so A's epilogue must not erase B's retransmit entries
@@ -2443,8 +2099,11 @@ mod tests {
         let bufs = labeled(4, 3);
         let bufs_ref = &bufs;
         let program = |mut comm: Communicator| {
-            let ha = comm.ialltoall(&bufs_ref[comm.rank()]).unwrap();
-            let hb = comm.ialltoall(&bufs_ref[comm.rank()]).unwrap();
+            let sends = comm.uniform_sends(&bufs_ref[comm.rank()]).unwrap();
+            let ha = comm
+                .ialltoall_v(sends.clone(), AllToAllAlgo::Linear)
+                .unwrap();
+            let hb = comm.ialltoall_v(sends, AllToAllAlgo::TwoDh).unwrap();
             let a = ha.wait(&mut comm).unwrap();
             let b = hb.wait(&mut comm).unwrap();
             assert_eq!(comm.parked_messages(), 0);
@@ -2462,18 +2121,12 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
-        assert_eq!(plain, reliable, "faulted overlapped run diverged");
-        let injected = telemetry
-            .counter_value("comm.retry.injected_drops")
-            .unwrap_or(0)
-            + telemetry
-                .counter_value("comm.retry.injected_dups")
-                .unwrap_or(0)
-            + telemetry
-                .counter_value("comm.retry.injected_delays")
-                .unwrap_or(0);
-        assert!(injected > 0, "plan injected nothing — test is vacuous");
+        let rel = run_threaded_with(topo, reliable(cfg), program);
+        assert_eq!(plain, rel, "faulted overlapped run diverged");
+        assert!(
+            injected(&telemetry) > 0,
+            "plan injected nothing — test is vacuous"
+        );
         assert_eq!(
             telemetry.counter_value("comm.retry.timeouts").unwrap_or(0),
             0,
@@ -2482,32 +2135,38 @@ mod tests {
     }
 
     #[test]
-    fn reliable_nonblocking_2dh_matches_plain() {
+    fn reliable_2dh_handle_matches_sequential_oracle() {
         let topo = Topology::new(2, 2);
         let bufs = labeled(4, 3);
         let bufs_ref = &bufs;
-        let program = |mut comm: Communicator| {
-            let h = comm.ialltoall_2dh(&bufs_ref[comm.rank()]).unwrap();
-            h.wait(&mut comm).unwrap()
-        };
-        let plain = run_threaded(topo, program);
         let cfg = ReliableConfig {
             policy: fast_policy(6),
             plan: Some(FaultPlan::new(0x2D).with_drops(25).with_delays(25, 2)),
             telemetry: Telemetry::enabled(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
-        assert_eq!(plain, reliable);
+        let got = run_threaded_with(topo, reliable(cfg), |mut comm| {
+            let rank = comm.rank();
+            exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::TwoDh)
+        });
+        assert_eq!(got, two_dh_all_to_all(&bufs, &topo));
+    }
+
+    fn traced(hub: &TraceHub, cfg: Option<ReliableConfig>) -> RunOpts<'_> {
+        RunOpts {
+            reliable: cfg,
+            trace: Some(hub),
+        }
     }
 
     #[test]
-    fn traced_all_to_all_binds_every_send_to_a_recv() {
+    fn traced_exchange_binds_every_send_to_a_recv() {
         let topo = Topology::new(2, 2);
         let bufs = labeled(4, 2);
         let bufs_ref = &bufs;
         let hub = TraceHub::new(4);
-        let got = run_threaded_traced(topo, &hub, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+        let got = run_threaded_with(topo, traced(&hub, None), |mut comm| {
+            let rank = comm.rank();
+            exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::Linear)
         });
         assert_eq!(got, linear_all_to_all(&bufs));
         let merged = hub.merged();
@@ -2516,9 +2175,9 @@ mod tests {
         assert_eq!(inv.edges, 12);
         assert_eq!(inv.cross_rank_edges, 12);
         assert_eq!(inv.retry_edges, 0);
-        // One all_to_all span per rank (plus nothing else on an
+        // An issue and a wait span per rank (plus nothing else on an
         // unreliable run — no ack phase).
-        assert_eq!(inv.spans, 4);
+        assert_eq!(inv.spans, 8);
         for edge in merged.flow_edges() {
             assert!(edge.accepted, "clean run must accept every edge");
             assert!(edge.latency_us() >= 0.0);
@@ -2532,9 +2191,9 @@ mod tests {
         let bufs = labeled(4, 2);
         let bufs_ref = &bufs;
         let hub = TraceHub::new(4);
-        run_threaded_traced(topo, &hub, |mut comm| {
-            let h = comm.ialltoall_2dh(&bufs_ref[comm.rank()]).unwrap();
-            h.wait(&mut comm).unwrap()
+        run_threaded_with(topo, traced(&hub, None), |mut comm| {
+            let rank = comm.rank();
+            exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::TwoDh)
         });
         let merged = hub.merged();
         merged.check_invariants().expect("clean traced run");
@@ -2557,8 +2216,9 @@ mod tests {
             plan: Some(FaultPlan::new(4).with_duplicates(100)),
             telemetry: Telemetry::disabled(),
         };
-        let got = run_threaded_reliable_traced(topo, cfg, &hub, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+        let got = run_threaded_with(topo, traced(&hub, Some(cfg)), |mut comm| {
+            let rank = comm.rank();
+            exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::Linear)
         });
         assert_eq!(got, linear_all_to_all(&bufs));
         let merged = hub.merged();
@@ -2592,8 +2252,9 @@ mod tests {
             plan: Some(FaultPlan::new(4).with_delays(100, 1).only_from(1)),
             telemetry: Telemetry::disabled(),
         };
-        let got = run_threaded_reliable_traced(topo, cfg, &hub, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
+        let got = run_threaded_with(topo, traced(&hub, Some(cfg)), |mut comm| {
+            let rank = comm.rank();
+            exchange(&mut comm, &bufs_ref[rank], AllToAllAlgo::Linear)
         });
         assert_eq!(got, linear_all_to_all(&bufs));
         let merged = hub.merged();
@@ -2617,7 +2278,8 @@ mod tests {
     fn untraced_runs_never_touch_seq_counters() {
         let topo = Topology::new(1, 2);
         let counts = run_threaded(topo, |mut comm| {
-            comm.all_to_all(&[comm.rank() as f32; 2]).unwrap();
+            let mine = [comm.rank() as f32; 2];
+            exchange(&mut comm, &mine, AllToAllAlgo::Linear);
             comm.send_seqs.borrow().len()
         });
         assert_eq!(counts, vec![0, 0]);

@@ -514,6 +514,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AllToAllAlgo;
+
+    /// The fixed-size linear exchange of a flat `(W, chunk)` buffer,
+    /// flattened back in source order.
+    fn uniform(comm: &mut Communicator, mine: &[f32]) -> Result<Vec<f32>, CommError> {
+        let handle = comm.ialltoall_v(comm.uniform_sends(mine)?, AllToAllAlgo::Linear)?;
+        Ok(handle.wait(comm)?.concat())
+    }
 
     #[test]
     fn same_seed_same_signature() {
@@ -521,7 +529,7 @@ mod tests {
         let run = |seed| {
             let (_, report) = run_sched(topo, seed, |comm| {
                 let mine = vec![comm.rank() as f32; 4];
-                comm.all_to_all(&mine)
+                uniform(comm, &mine)
             });
             report
         };
@@ -538,7 +546,7 @@ mod tests {
         for seed in 0..32 {
             let (_, report) = run_sched(topo, seed, |comm| {
                 let mine: Vec<f32> = (0..8).map(|i| (comm.rank() * 8 + i) as f32).collect();
-                comm.all_to_all(&mine)
+                uniform(comm, &mine)
             });
             assert!(report.clean());
             sigs.insert(report.signature);
@@ -617,7 +625,7 @@ mod tests {
         let plan = FaultPlan::new(0xD0).with_drops(100);
         let (results, report) = run_sched_faulty(topo, 21, plan, |comm| {
             let mine = vec![comm.rank() as f32; 4];
-            comm.all_to_all(&mine)
+            uniform(comm, &mine)
         });
         assert!(report.injected_drops > 0, "plan injected nothing");
         assert!(report.deadlock.is_some(), "dropped delivery not detected");
@@ -632,7 +640,7 @@ mod tests {
         let plan = FaultPlan::new(0xD1).with_duplicates(100);
         let (results, report) = run_sched_faulty(topo, 3, plan, |comm| {
             let mine = vec![comm.rank() as f32; 2];
-            comm.all_to_all(&mine)
+            uniform(comm, &mine)
         });
         // The duplicate parks in a mailbox or stays undelivered; the
         // values the programs saw are still the correct ones.
@@ -653,7 +661,7 @@ mod tests {
         let plan = FaultPlan::new(0xD2).with_delays(60, 3);
         let (results, report) = run_sched_faulty(topo, 11, plan, |comm| {
             let mine: Vec<f32> = (0..8).map(|i| (comm.rank() * 8 + i) as f32).collect();
-            comm.all_to_all(&mine)
+            uniform(comm, &mine)
         });
         assert!(report.injected_delays > 0, "plan injected nothing");
         assert!(report.clean(), "delays must only postpone: {report:?}");
@@ -674,7 +682,7 @@ mod tests {
         let run = || {
             let (results, report) = run_sched_faulty(topo, 9, plan, |comm| {
                 let mine = vec![comm.rank() as f32; 4];
-                comm.all_to_all(&mine)
+                uniform(comm, &mine)
             });
             (results, report.signature, report.deliveries)
         };

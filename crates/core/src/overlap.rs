@@ -69,25 +69,24 @@ pub struct OverlapRun {
     pub wall_s: f64,
 }
 
-/// Issues the non-blocking All-to-All for `algo`.
+/// Issues the non-blocking All-to-All of a flat `(W, chunk)` buffer:
+/// chunk `d` goes to rank `d` ([`CommError::Indivisible`] otherwise).
 fn issue(
     comm: &mut Communicator,
     algo: AllToAllAlgo,
     buf: &[f32],
 ) -> Result<CommHandle, CommError> {
-    match algo {
-        AllToAllAlgo::Linear => comm.ialltoall(buf),
-        AllToAllAlgo::TwoDh => comm.ialltoall_2dh(buf),
-    }
+    comm.ialltoall_v(comm.uniform_sends(buf)?, algo)
 }
 
-/// Blocks for a handle's completion. The *only* place in this module
-/// allowed to wait: the steady-state loop must stay non-blocking on
-/// the combine side (`check`'s `no_block_in_overlap` rule enforces
-/// this).
+/// Blocks for a handle's completion and flattens the received chunks
+/// back into the `(W, chunk)` layout, in source order. The *only*
+/// place in this module allowed to wait: the steady-state loop must
+/// stay non-blocking on the combine side (`check`'s
+/// `no_block_in_overlap` rule enforces this).
 // check:overlap-drain
 fn drain(handle: CommHandle, comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
-    handle.wait(comm)
+    Ok(handle.wait(comm)?.concat())
 }
 
 /// Runs the two-stream overlapped schedule over `dispatch_chunks`.
@@ -289,29 +288,27 @@ mod tests {
             .collect()
     }
 
-    /// The serial reference: blocking dispatch → compute → combine,
-    /// chunk by chunk.
+    /// The sequential oracle: dispatch → compute → combine chunk by
+    /// chunk over all ranks at once, per-rank combine results in chunk
+    /// order.
     fn serial(
-        comm: &mut Communicator,
+        topo: &Topology,
         algo: AllToAllAlgo,
-        input: &[Vec<f32>],
+        degree: usize,
+        per: usize,
         f: impl Fn(usize, &[f32]) -> Vec<f32>,
-    ) -> Vec<Vec<f32>> {
-        input
-            .iter()
-            .enumerate()
-            .map(|(i, chunk)| {
-                let flex = match algo {
-                    AllToAllAlgo::Linear => comm.all_to_all(chunk).unwrap(),
-                    AllToAllAlgo::TwoDh => comm.all_to_all_2dh(chunk).unwrap(),
-                };
-                let y = f(i, &flex);
-                match algo {
-                    AllToAllAlgo::Linear => comm.all_to_all(&y).unwrap(),
-                    AllToAllAlgo::TwoDh => comm.all_to_all_2dh(&y).unwrap(),
-                }
-            })
-            .collect()
+    ) -> Vec<Vec<Vec<f32>>> {
+        let world = topo.world_size();
+        let inputs: Vec<_> = (0..world).map(|r| chunks(r, world, degree, per)).collect();
+        let mut per_rank = vec![Vec::new(); world];
+        for c in 0..degree {
+            let disp: Vec<Vec<f32>> = inputs.iter().map(|i| i[c].clone()).collect();
+            let y: Vec<Vec<f32>> = algo.run(&disp, topo).iter().map(|x| f(c, x)).collect();
+            for (r, out) in algo.run(&y, topo).into_iter().enumerate() {
+                per_rank[r].push(out);
+            }
+        }
+        per_rank
     }
 
     fn toy_compute(i: usize, flex: &[f32]) -> Vec<f32> {
@@ -324,10 +321,7 @@ mod tests {
         let world = topo.world_size();
         for algo in [AllToAllAlgo::Linear, AllToAllAlgo::TwoDh] {
             for degree in [1usize, 2, 4] {
-                let expect = run_threaded(topo, |mut comm| {
-                    let input = chunks(comm.rank(), world, degree, 3);
-                    serial(&mut comm, algo, &input, toy_compute)
-                });
+                let expect = serial(&topo, algo, degree, 3, toy_compute);
                 let got = run_threaded(topo, |mut comm| {
                     let input = chunks(comm.rank(), world, degree, 3);
                     let run =
@@ -388,6 +382,23 @@ mod tests {
                 };
                 assert_eq!(a_sorted, b_sorted, "rank {rank} degree {d}");
             }
+        }
+    }
+
+    #[test]
+    fn indivisible_chunk_is_a_typed_error() {
+        let topo = Topology::single_node(2);
+        let runs = run_threaded(topo, |mut comm| {
+            run_overlapped(
+                &mut comm,
+                AllToAllAlgo::TwoDh,
+                &[vec![1.0; 3]],
+                |_, flex| flex,
+            )
+            .err()
+        });
+        for r in runs {
+            assert_eq!(r, Some(CommError::Indivisible { len: 3, chunks: 2 }));
         }
     }
 

@@ -2,7 +2,7 @@
 //! routing (BPR).
 
 use serde::{Deserialize, Serialize};
-use tutel_tensor::{Tensor, TensorError};
+use tutel_tensor::{score_order, Tensor, TensorError};
 
 use crate::{expert_capacity, needed_capacity_factor, CapacityPolicy};
 
@@ -256,16 +256,11 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
     let capacity = expert_capacity(cfg.k, factor, tokens, experts);
 
     // Capacity-slot assignment order: token order, or confidence order
-    // under BPR (descending top-1 gate probability).
+    // under BPR (descending top-1 gate probability, NaN last).
     let mut order: Vec<usize> = (0..tokens).collect();
     if cfg.bpr {
-        order.sort_by(|&a, &b| {
-            let ga = vals[a].first().copied().unwrap_or(0.0);
-            let gb = vals[b].first().copied().unwrap_or(0.0);
-            gb.partial_cmp(&ga)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        let top1 = |t: usize| vals[t].first().copied().unwrap_or(0.0);
+        order.sort_by(|&a, &b| score_order((a, top1(a)), (b, top1(b))));
     }
 
     let mut counts = vec![0usize; experts];
@@ -350,6 +345,30 @@ mod tests {
         assert!(bpr.location_of[7][0].is_some());
         assert!(bpr.location_of[6][0].is_some());
         assert!(bpr.location_of[0][0].is_none());
+    }
+
+    #[test]
+    fn nan_rows_never_panic_or_outrank_finite_scores() {
+        // 40 tokens so BPR's token sort takes std's merge path, where
+        // an inconsistent comparator panics; 32 and 8 experts cover
+        // both of top-k's sort paths.
+        for experts in [8usize, 32] {
+            let mut rng = Rng::seed(7);
+            let mut probs = rng.uniform_tensor(&[40, experts], 0.0, 1.0).softmax_last();
+            for t in (0..40).step_by(4) {
+                probs.set(&[t, t % experts], f32::NAN);
+            }
+            for e in 0..experts {
+                probs.set(&[5, e], f32::NAN);
+            }
+            let r = route(&probs, &RouteConfig::top2().with_bpr(true)).unwrap();
+            for t in (0..40).step_by(4).filter(|&t| t != 5) {
+                assert!(
+                    !r.expert_of[t].contains(&(t % experts)),
+                    "NaN expert won token {t}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! serial path, so the conformance budgets are unchanged.
 
 use tutel::overlap::run_overlapped;
-use tutel_comm::runtime::{run_threaded, run_threaded_traced, Communicator};
+use tutel_comm::runtime::{run_threaded_with, Communicator, RunOpts};
 use tutel_experts::{ExpertsBlock, ShardedExpertParams};
 use tutel_kernels::{fast_decode, fast_decode_backward, fast_encode_backward};
 use tutel_obs::trace::{TraceHub, TRACK_MAIN};
@@ -160,14 +160,13 @@ fn run_distributed_impl(
     let topo = topology_for(cfg.world);
     assert_eq!(topo.world_size(), cfg.world, "topology/world mismatch");
     let cfg = *cfg;
-    match hub {
-        Some(hub) => run_threaded_traced(topo, hub, move |comm| {
-            with_parallelism_limit(cfg.threads, || run_rank(problem, fixture, &cfg, comm))
-        }),
-        None => run_threaded(topo, move |comm| {
-            with_parallelism_limit(cfg.threads, || run_rank(problem, fixture, &cfg, comm))
-        }),
-    }
+    let opts = RunOpts {
+        reliable: None,
+        trace: hub,
+    };
+    run_threaded_with(topo, opts, move |comm| {
+        with_parallelism_limit(cfg.threads, || run_rank(problem, fixture, &cfg, comm))
+    })
 }
 
 fn run_rank(

@@ -19,22 +19,19 @@
 
 use std::time::{Duration, Instant};
 
-use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator};
+use tutel_comm::runtime::{run_threaded, run_threaded_with, Communicator, RunOpts};
 use tutel_comm::sched::run_sched_faulty;
-use tutel_comm::{CommError, FaultPlan, ReliableConfig, RetryPolicy};
+use tutel_comm::{AllToAllAlgo, CommError, FaultPlan, ReliableConfig, RetryPolicy};
 use tutel_obs::Telemetry;
 use tutel_simgpu::Topology;
 
 /// The collectives under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Collective {
-    /// Linear All-to-All.
-    AllToAll,
-    /// Two-Dimensional Hierarchical All-to-All.
-    AllToAll2dh,
-    /// Non-blocking linear All-to-All (handle issued, then waited) —
-    /// the overlap executor's dispatch/combine primitive.
-    IAllToAll,
+    /// The ragged non-blocking All-to-All over one route (handle
+    /// issued, then waited) — the one exchange behind every dispatch
+    /// and combine.
+    AllToAllV(AllToAllAlgo),
     /// Ring all-gather.
     AllGather,
     /// Ring all-reduce (sum).
@@ -42,10 +39,9 @@ pub enum Collective {
 }
 
 /// Every collective, in report order.
-pub const COLLECTIVES: [Collective; 5] = [
-    Collective::AllToAll,
-    Collective::AllToAll2dh,
-    Collective::IAllToAll,
+pub const COLLECTIVES: [Collective; 4] = [
+    Collective::AllToAllV(AllToAllAlgo::Linear),
+    Collective::AllToAllV(AllToAllAlgo::TwoDh),
     Collective::AllGather,
     Collective::AllReduceSum,
 ];
@@ -54,24 +50,24 @@ impl Collective {
     /// Name used in reports.
     pub fn label(&self) -> &'static str {
         match self {
-            Collective::AllToAll => "all_to_all",
-            Collective::AllToAll2dh => "all_to_all_2dh",
-            Collective::IAllToAll => "ialltoall",
+            Collective::AllToAllV(AllToAllAlgo::Linear) => "ialltoall_v/lin",
+            Collective::AllToAllV(AllToAllAlgo::TwoDh) => "ialltoall_v/2dh",
             Collective::AllGather => "all_gather",
             Collective::AllReduceSum => "all_reduce_sum",
         }
     }
 
-    fn invoke(&self, comm: &mut Communicator, input: &[f32]) -> Result<Vec<f32>, CommError> {
+    /// Runs the collective on this rank's inputs. The All-to-All takes
+    /// ragged per-destination buffers, the rings the flat input; a
+    /// ring's result is returned as the single buffer.
+    fn invoke(&self, comm: &mut Communicator) -> Result<Vec<Vec<f32>>, CommError> {
+        let (rank, world) = (comm.rank(), comm.world_size());
         match self {
-            Collective::AllToAll => comm.all_to_all(input),
-            Collective::AllToAll2dh => comm.all_to_all_2dh(input),
-            Collective::IAllToAll => {
-                let handle = comm.ialltoall(input)?;
-                handle.wait(comm)
-            }
-            Collective::AllGather => comm.all_gather(input),
-            Collective::AllReduceSum => comm.all_reduce_sum(input),
+            Collective::AllToAllV(algo) => comm
+                .ialltoall_v(fault_sends(rank, world), *algo)?
+                .wait(comm),
+            Collective::AllGather => Ok(vec![comm.all_gather(&fault_input(rank, world))?]),
+            Collective::AllReduceSum => Ok(vec![comm.all_reduce_sum(&fault_input(rank, world))?]),
         }
     }
 }
@@ -106,12 +102,31 @@ fn fault_topology() -> Topology {
     Topology::new(2, 2)
 }
 
-/// Per-rank input: `world` chunks of two distinct values so any
+/// Per-rank ring input: `world` chunks of two distinct values so any
 /// corruption or misdelivery changes the output.
 fn fault_input(rank: usize, world: usize) -> Vec<f32> {
     (0..world * 2)
         .map(|i| (rank * world * 2 + i) as f32 * 0.5 + 1.0)
         .collect()
+}
+
+/// Per-rank All-to-All input: `(rank + d) % 3` distinct values for
+/// rank `d` — ragged, with some empty buffers on the wire.
+fn fault_sends(rank: usize, world: usize) -> Vec<Vec<f32>> {
+    (0..world)
+        .map(|d| {
+            (0..(rank + d) % 3)
+                .map(|i| (rank * 100 + d * 10 + i) as f32 * 0.5 + 1.0)
+                .collect()
+        })
+        .collect()
+}
+
+fn reliable(cfg: ReliableConfig) -> RunOpts<'static> {
+    RunOpts {
+        reliable: Some(cfg),
+        trace: None,
+    }
 }
 
 fn retry_counter(t: &Telemetry, name: &str) -> u64 {
@@ -121,12 +136,10 @@ fn retry_counter(t: &Telemetry, name: &str) -> u64 {
 /// Runs all three scenarios for one collective under `fault_seed`.
 pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultReport {
     let topo = fault_topology();
-    let world = topo.world_size();
 
     // Fault-free baseline.
     let program = move |mut comm: Communicator| {
-        let input = fault_input(comm.rank(), world);
-        let out = collective.invoke(&mut comm, &input);
+        let out = collective.invoke(&mut comm);
         let parked = comm.parked_messages();
         (out, parked)
     };
@@ -149,7 +162,7 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
         ),
         telemetry: telemetry.clone(),
     };
-    let recovered = run_threaded_reliable(topo, cfg, program);
+    let recovered = run_threaded_with(topo, reliable(cfg), program);
     let recovered_identical = recovered == plain;
     let injected = retry_counter(&telemetry, "comm.retry.injected_drops")
         + retry_counter(&telemetry, "comm.retry.injected_dups")
@@ -170,7 +183,7 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
         telemetry: fail_telemetry.clone(),
     };
     let started = Instant::now();
-    let failed = run_threaded_reliable(topo, fail_cfg, program);
+    let failed = run_threaded_with(topo, reliable(fail_cfg), program);
     let bounded = started.elapsed() < Duration::from_secs(10);
     let failed_typed = failed
         .iter()
@@ -180,10 +193,7 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
     // Scenario 3: delivery-time drops under the deterministic
     // scheduler must surface as a *detected* deadlock, replayable from
     // the same seed.
-    let sched_program = move |comm: &mut Communicator| {
-        let input = fault_input(comm.rank(), world);
-        collective.invoke(comm, &input)
-    };
+    let sched_program = move |comm: &mut Communicator| collective.invoke(comm);
     let (results, report) = run_sched_faulty(
         topo,
         fault_seed,
@@ -224,19 +234,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_seed_passes_for_all_to_all() {
-        let report = run_fault_scenarios(Collective::AllToAll, 0xFA17);
-        assert!(report.pass, "all_to_all fault scenarios failed: {report:?}");
+    fn default_seed_passes_for_both_all_to_all_routes() {
+        // The one All-to-All goes through the three replayed
+        // scenarios on each route: recover bitwise under a mixed plan,
+        // fail typed under an unrecoverable one, wedge detectably
+        // under the deterministic scheduler.
+        for algo in AllToAllAlgo::ALL {
+            let report = run_fault_scenarios(Collective::AllToAllV(algo), 0xFA17);
+            assert!(report.pass, "{algo:?} fault scenarios failed: {report:?}");
+            assert!(report.injected > 0, "{algo:?}: plan injected nothing");
+        }
     }
 
     #[test]
-    fn default_seed_passes_for_nonblocking_all_to_all() {
-        // The overlap executor's primitive goes through the same three
-        // replayed scenarios: recover bitwise under a mixed plan, fail
-        // typed under an unrecoverable one, wedge detectably under the
-        // deterministic scheduler.
-        let report = run_fault_scenarios(Collective::IAllToAll, 0xFA17);
-        assert!(report.pass, "ialltoall fault scenarios failed: {report:?}");
+    fn ragged_inputs_include_empty_buffers() {
+        let world = fault_topology().world_size();
+        let sends: Vec<_> = (0..world).map(|r| fault_sends(r, world)).collect();
+        assert!(sends
+            .iter()
+            .enumerate()
+            .any(|(r, s)| s.iter().enumerate().any(|(d, b)| d != r && b.is_empty())));
+        assert!(sends.iter().flatten().any(|b| b.len() > 1));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! overlap executor's non-blocking All-to-All, proving the
 //! retry/recovery machinery is indifferent to the kernel mode.
 
+use tutel_comm::AllToAllAlgo;
 use tutel_experts::ExpertsBlock;
 use tutel_tensor::{dispatch, Precision};
 
@@ -194,7 +195,8 @@ pub fn run_kernel_matrix(seed: u64, fault_seed: u64) -> Vec<KernelVerdict> {
                 .iter()
                 .map(|c| run_distributed(&problem, fixture, c))
                 .collect();
-            let fault = run_fault_scenarios(Collective::IAllToAll, fault_seed);
+            let fault =
+                run_fault_scenarios(Collective::AllToAllV(AllToAllAlgo::Linear), fault_seed);
             (cell_runs, fault)
         });
         runs.push(cell_runs);

@@ -22,8 +22,8 @@
 use std::thread;
 use std::time::Duration;
 
-use tutel_comm::runtime::run_threaded_reliable_traced;
-use tutel_comm::{FaultPlan, ReliableConfig, RetryPolicy};
+use tutel_comm::runtime::{run_threaded_with, RunOpts};
+use tutel_comm::{AllToAllAlgo, FaultPlan, ReliableConfig, RetryPolicy};
 use tutel_obs::trace::{TraceHub, TraceInvariants, TRACK_STREAM_COMM, TRACK_STREAM_COMPUTE};
 use tutel_obs::{analyze, Analysis, AnalyzerConfig, Telemetry, TraceEvent};
 use tutel_simgpu::Topology;
@@ -150,11 +150,19 @@ pub fn run_straggler_scenario(
         plan: Some(FaultPlan::new(seed).with_delays(100, 2).only_from(culprit)),
         telemetry: tel.clone(),
     };
-    let results = run_threaded_reliable_traced(topo, cfg, &hub, move |mut comm| {
-        let input: Vec<f32> = (0..world * 2)
-            .map(|i| (comm.rank() * world * 2 + i) as f32)
+    let opts = RunOpts {
+        reliable: Some(cfg),
+        trace: Some(&hub),
+    };
+    let results = run_threaded_with(topo, opts, move |mut comm| {
+        let rank = comm.rank();
+        let sends: Vec<Vec<f32>> = (0..world)
+            .map(|d| {
+                let base = (rank * world * 2 + d * 2) as f32;
+                vec![base, base + 1.0]
+            })
             .collect();
-        let handle = comm.ialltoall(&input)?;
+        let handle = comm.ialltoall_v(sends, AllToAllAlgo::Linear)?;
         if comm.rank() == culprit {
             thread::sleep(STRAGGLER_STALL);
         }

@@ -219,10 +219,13 @@ impl Arena {
         }
         class.push(buf);
         classes.retained_elems += len;
-        drop(classes);
-        self.returns.fetch_add(1, Ordering::Relaxed);
+        // Recorded before the lock is released: once it is, another
+        // thread may pop this buffer, and its take must follow this
+        // put in the checker's log.
         #[cfg(feature = "check-race")]
         crate::chk::on_arena_put(chk_buf, len, true, chk_site);
+        drop(classes);
+        self.returns.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops every retained buffer (counters are kept).

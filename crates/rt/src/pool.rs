@@ -29,6 +29,8 @@
 //! spawns `w - 1` background workers and `TUTEL_THREADS=1` runs
 //! everything inline with zero spawned threads.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -90,8 +92,12 @@ struct JobCore {
     bounds: Vec<(usize, usize)>,
     /// Total chunks in the job.
     total: usize,
-    /// Chunks fully executed so far; the last one signals `done`.
+    /// Chunks finished so far (panicked ones included); the last one
+    /// signals `done`.
     completed: AtomicUsize,
+    /// The first chunk panic's payload, re-raised on the caller once
+    /// the job has drained.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     done: Mutex<bool>,
     done_cv: Condvar,
     /// Job id in the race checker's event log.
@@ -122,10 +128,19 @@ impl JobCore {
                 }
                 #[cfg(feature = "check-race")]
                 crate::chk::chunk_claim(self.chk_job, i, v, offset > 0);
-                // SAFETY: the caller of `run` keeps the closure alive
-                // until every chunk completes; we are executing a
-                // not-yet-completed chunk.
-                unsafe { (*self.task)(i) };
+                // A panic is caught so the chunk still counts as
+                // finished: the caller must not return (freeing the
+                // closure) while workers may still claim chunks, and a
+                // worker must survive its chunk.
+                let ran_ok = catch_unwind(AssertUnwindSafe(|| {
+                    // SAFETY: the caller of `run` keeps the closure
+                    // alive until every chunk completes; we are
+                    // executing a not-yet-completed chunk.
+                    unsafe { (*self.task)(i) }
+                }));
+                if let Err(payload) = ran_ok {
+                    lock(&self.panic).get_or_insert(payload);
+                }
                 ran += 1;
                 if offset > 0 {
                     steals += 1;
@@ -231,6 +246,10 @@ impl Pool {
     /// `max_participants` claim regions, and blocks until every chunk
     /// has executed. Falls back to a serial loop when parallelism is
     /// pointless or unavailable.
+    ///
+    /// A chunk that panics, on the caller or on a worker, still counts
+    /// as executed; once every chunk has, the first panic's payload is
+    /// re-raised here. Workers survive their chunks' panics.
     fn run(&self, total: usize, max_participants: usize, task: &(dyn Fn(usize) + Sync)) {
         if total == 0 {
             return;
@@ -274,6 +293,7 @@ impl Pool {
             bounds,
             total,
             completed: AtomicUsize::new(0),
+            panic: Mutex::new(None),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             #[cfg(feature = "check-race")]
@@ -288,9 +308,7 @@ impl Pool {
         self.shared.job_cv.notify_all();
 
         // The caller participates as region 0.
-        IN_JOB.with(|f| f.set(true));
-        let (ran, steals) = job.participate(0);
-        IN_JOB.with(|f| f.set(false));
+        let (ran, steals) = in_job(|| job.participate(0));
         job.wait();
         #[cfg(feature = "check-race")]
         crate::chk::job_join(job.chk_job);
@@ -309,7 +327,26 @@ impl Pool {
         c.worker_chunks
             .fetch_add(total as u64 - ran, Ordering::Relaxed);
         c.steals.fetch_add(steals, Ordering::Relaxed);
+        let panicked = lock(&job.panic).take();
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
     }
+}
+
+/// Runs `body` with this thread marked as inside a pool job; the mark
+/// is cleared even if `body` unwinds, so a reused thread never runs
+/// its later parallel calls serially.
+fn in_job<R>(body: impl FnOnce() -> R) -> R {
+    struct Clear;
+    impl Drop for Clear {
+        fn drop(&mut self) {
+            IN_JOB.with(|f| f.set(false));
+        }
+    }
+    IN_JOB.with(|f| f.set(true));
+    let _clear = Clear;
+    body()
 }
 
 impl Drop for Pool {
@@ -341,11 +378,9 @@ fn worker_loop(shared: &Shared, who: usize) {
             }
         };
         if let Some(job) = job {
-            IN_JOB.with(|f| f.set(true));
             // Worker-run chunk share is derived by the caller as
             // `total - caller_ran`; workers only report steals.
-            let (_ran, steals) = job.participate(who);
-            IN_JOB.with(|f| f.set(false));
+            let (_ran, steals) = in_job(|| job.participate(who));
             shared.counters.steals.fetch_add(steals, Ordering::Relaxed);
         }
     }
@@ -680,6 +715,59 @@ mod tests {
             });
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn chunk_panics_reraise_and_leave_the_pool_usable() {
+        use std::time::{Duration, Instant};
+        // A private pool, so the worker count ignores TUTEL_THREADS.
+        let pool = Pool::with_workers(3);
+        let caller = std::thread::current().id();
+        let worker_ran = AtomicBool::new(false);
+        // One parallel_for-style job of 64 chunks whose chunks panic on
+        // the caller (`Some(true)`), on workers (`Some(false)`), or
+        // nowhere. The caller's chunks wait (bounded) until a worker
+        // has run one, so both sides reliably take part.
+        let job = |fail: Option<bool>| {
+            worker_ran.store(false, Ordering::Release);
+            let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(64, usize::MAX, &|i| {
+                    let on_caller = std::thread::current().id() == caller;
+                    if !on_caller {
+                        worker_ran.store(true, Ordering::Release);
+                    }
+                    while on_caller
+                        && !worker_ran.load(Ordering::Acquire)
+                        && Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                    if fail == Some(on_caller) {
+                        panic!("chunk fails on purpose");
+                    }
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            assert!(!IN_JOB.with(|f| f.get()), "IN_JOB stuck on the caller");
+            (result, hits)
+        };
+        for on_caller in [true, false] {
+            let payload = job(Some(on_caller)).0.expect_err("chunk panic lost");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"chunk fails on purpose")
+            );
+        }
+        // The same threads then run a correct job, workers included.
+        let before = pool.stats().worker_chunks;
+        let (result, hits) = job(None);
+        assert!(result.is_ok() && hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert!(
+            pool.stats().worker_chunks > before,
+            "workers died with their chunks"
+        );
     }
 
     #[test]

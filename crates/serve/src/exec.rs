@@ -28,7 +28,7 @@
 //! the padded slots stay zero — no token ever decodes from them.
 
 use tutel::overlap::run_overlapped;
-use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator, ReliableConfig};
+use tutel_comm::runtime::{run_threaded_with, Communicator, ReliableConfig, RunOpts};
 use tutel_comm::AllToAllAlgo;
 use tutel_experts::{ExpertsBlock, ShardedExpertParams};
 use tutel_gate::{route, RaggedRouting, Router};
@@ -226,10 +226,11 @@ fn execute_step_with(
             }
         })
     };
-    let rank_results: Vec<RankResult> = match cfg_rel {
-        None => run_threaded(topo, program),
-        Some(rel) => run_threaded_reliable(topo, rel, program),
+    let opts = RunOpts {
+        reliable: cfg_rel,
+        trace: None,
     };
+    let rank_results: Vec<RankResult> = run_threaded_with(topo, opts, program);
 
     let mut outs = Vec::with_capacity(world);
     let mut capacity = 0usize;
@@ -363,7 +364,7 @@ fn run_rank(
 }
 
 /// One rank's **dropless** program: route, pack ragged bins, exchange
-/// the exact routed rows over flexible (v-) All-to-Alls, grouped-GEMM
+/// the exact routed rows over ragged All-to-Alls, grouped-GEMM
 /// the received bins, exchange back, decode. Capacity never
 /// materializes — the wire carries an `offsets`-shaped count header
 /// plus the rows themselves, not `E·C` padded slabs, so payloads
@@ -371,8 +372,8 @@ fn run_rank(
 /// own rows.
 ///
 /// The pipeline degree splits every expert bin into `degree`
-/// deterministic sub-ranges and runs one blocking v-exchange per
-/// sub-range: overlap changes *when* rows move, never what they hold,
+/// deterministic sub-ranges and runs one blocking ragged exchange
+/// (issue, then wait) per sub-range: overlap changes *when* rows move, never what they hold,
 /// and each output row's GEMM accumulation order is independent of
 /// its bin-mates, so the padded twin's bitwise contract carries over
 /// unchanged. The returned "capacity" is the rank's largest routed
@@ -447,10 +448,7 @@ fn run_rank_grouped(
                 buf
             })
             .collect();
-        let recvd = match cfg.algo {
-            AllToAllAlgo::Linear => comm.all_to_all_v(&sends)?,
-            AllToAllAlgo::TwoDh => comm.all_to_all_v_2dh(&sends)?,
-        };
+        let recvd = comm.ialltoall_v(sends, cfg.algo)?.wait(&mut comm)?;
 
         // Regroup the (src, expert) segments into per-expert bins in
         // source order and grouped-GEMM them with this rank's blocks.
@@ -514,10 +512,7 @@ fn run_rank_grouped(
                 .collect()
         };
 
-        let returned = match cfg.algo {
-            AllToAllAlgo::Linear => comm.all_to_all_v(&back)?,
-            AllToAllAlgo::TwoDh => comm.all_to_all_v_2dh(&back)?,
-        };
+        let returned = comm.ialltoall_v(back, cfg.algo)?.wait(&mut comm)?;
         for (d, buf) in returned.iter().enumerate() {
             let mut at = 0usize;
             for e in d * le..(d + 1) * le {

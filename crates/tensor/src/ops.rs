@@ -214,8 +214,9 @@ impl Tensor {
     }
 
     /// Per-row top-k over the last axis: returns `(indices, values)` each
-    /// of shape `rows × k`, sorted by descending value (ties broken by
-    /// lower index, matching deterministic GPU top-k).
+    /// of shape `rows × k`, in [`score_order`]: descending value, NaN
+    /// below every number, ties broken by lower index (matching
+    /// deterministic GPU top-k).
     ///
     /// # Errors
     ///
@@ -234,12 +235,7 @@ impl Tensor {
         for r in 0..rows {
             let row = &self.as_slice()[r * cols..(r + 1) * cols];
             let mut order: Vec<usize> = (0..cols).collect();
-            order.sort_by(|&a, &b| {
-                row[b]
-                    .partial_cmp(&row[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
+            order.sort_by(|&a, &b| score_order((a, row[a]), (b, row[b])));
             order.truncate(k);
             vals.push(order.iter().map(|&i| row[i]).collect());
             idxs.push(order);
@@ -266,6 +262,18 @@ impl Tensor {
         }
         Ok(out)
     }
+}
+
+/// The ranking order of `(index, score)` pairs that top-k selection
+/// and batch prioritized routing share: descending score, NaN below
+/// every number, ties (`-0.0 == 0.0` included) broken by lower index.
+/// A total order, so a sort never sees an inconsistent comparator —
+/// and on NaN-free scores it is exactly the plain descending order.
+pub fn score_order(a: (usize, f32), b: (usize, f32)) -> std::cmp::Ordering {
+    // partial_cmp fails only when a NaN is involved; order NaN last.
+    b.1.partial_cmp(&a.1)
+        .unwrap_or_else(|| a.1.is_nan().cmp(&b.1.is_nan()))
+        .then(a.0.cmp(&b.0))
 }
 
 /// Scalar GELU, tanh approximation.
@@ -439,6 +447,46 @@ mod tests {
         let (idxs, vals) = t.topk_last(3).unwrap();
         assert_eq!(idxs[0], vec![1, 2, 3]);
         assert_eq!(vals[0], vec![0.9, 0.9, 0.3]);
+    }
+
+    #[test]
+    fn nan_scores_never_panic_and_rank_below_every_number() {
+        // std's sort panics on an inconsistent comparator once a row
+        // is long enough for its merge path (32 columns); 8 exercises
+        // the insertion-sort path.
+        for cols in [8usize, 32] {
+            let mut row: Vec<f32> = (0..cols).map(|i| (i % 5) as f32 - 2.0).collect();
+            for i in (0..cols).step_by(3) {
+                row[i] = f32::NAN;
+            }
+            row[1] = f32::NEG_INFINITY;
+            let t = Tensor::from_vec(row.clone(), &[1, cols]).unwrap();
+            let (idxs, vals) = t.topk_last(cols).unwrap();
+            let first_nan = vals[0].iter().position(|v| v.is_nan()).unwrap();
+            assert!(
+                vals[0][first_nan..].iter().all(|v| v.is_nan()),
+                "cols {cols}"
+            );
+            assert!(vals[0][..first_nan].windows(2).all(|w| w[0] >= w[1]));
+            let nans: Vec<usize> = idxs[0][first_nan..].to_vec();
+            assert!(nans.windows(2).all(|w| w[0] < w[1]), "NaN ties by index");
+            let all_nan = Tensor::from_vec(vec![f32::NAN; cols], &[1, cols]).unwrap();
+            assert_eq!(all_nan.topk_last(2).unwrap().0[0], vec![0, 1]);
+        }
+    }
+
+    #[test]
+    fn score_order_matches_descending_order_on_finite_scores() {
+        let scores = [0.25f32, -1.0, 0.25, 3.5, -0.0, 0.0, f32::INFINITY];
+        for (i, &a) in scores.iter().enumerate() {
+            for (j, &b) in scores.iter().enumerate() {
+                let old = b
+                    .partial_cmp(&a)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(i.cmp(&j));
+                assert_eq!(score_order((i, a), (j, b)), old, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use tutel_harness::faults::{run_fault_scenarios, Collective};
 use tutel_harness::matrix::{configs, run_matrix, Mode};
+use tutel_suite::comm::AllToAllAlgo;
 
 #[test]
 fn smoke_matrix_passes() {
@@ -48,7 +49,8 @@ fn bitwise_eligible_points_are_actually_bitwise() {
 
 #[test]
 fn fault_scenarios_pass_for_a2a_and_2dh() {
-    for collective in [Collective::AllToAll, Collective::AllToAll2dh] {
+    for algo in AllToAllAlgo::ALL {
+        let collective = Collective::AllToAllV(algo);
         let report = run_fault_scenarios(collective, 0xFA17);
         assert!(
             report.pass,

@@ -5,12 +5,21 @@
 //! compute, combine exchange, fast decode — compared against the
 //! single-process reference layer.
 
-use tutel_suite::comm::runtime::run_threaded;
+use tutel_suite::comm::runtime::{run_threaded, Communicator};
+use tutel_suite::comm::AllToAllAlgo;
 use tutel_suite::experts::ExpertsBlock;
 use tutel_suite::gate::{route, LinearRouter, RouteConfig, Router};
 use tutel_suite::kernels::{fast_decode, fast_encode};
 use tutel_suite::simgpu::Topology;
 use tutel_suite::tensor::{Rng, Tensor};
+
+/// The 2DH exchange of a flat `(W, chunk)` buffer: chunk `d` goes to
+/// rank `d`; the received chunks come back flat in source order.
+fn exchange_2dh(comm: &mut Communicator, buf: &[f32]) -> Vec<f32> {
+    let sends = comm.uniform_sends(buf).unwrap();
+    let handle = comm.ialltoall_v(sends, AllToAllAlgo::TwoDh).unwrap();
+    handle.wait(comm).unwrap().concat()
+}
 
 /// Flex-dispatch wire format: flatten the (E, dC, M) buffer so that the
 /// per-destination-rank chunk is contiguous (experts are rank-major),
@@ -65,7 +74,7 @@ fn run_distributed_step(topology: Topology, k: usize, seed: u64) {
         // Dispatch: the (E, dC, M) buffer is already rank-major along
         // E, so a plain All-to-All ships each destination rank its
         // experts' slabs; the receiving side holds (W, dE, dC, M).
-        let received = comm.all_to_all_2dh(enc.as_slice()).unwrap();
+        let received = exchange_2dh(&mut comm, enc.as_slice());
 
         // Rearrange to the flexible (dE, C = W·dC, M) layout locally
         // and run this rank's experts.
@@ -83,7 +92,7 @@ fn run_distributed_step(topology: Topology, k: usize, seed: u64) {
             .unwrap()
             .permute(&[1, 0, 2, 3])
             .unwrap();
-        let combined = comm.all_to_all_2dh(back.as_slice()).unwrap();
+        let combined = exchange_2dh(&mut comm, back.as_slice());
         let combined = Tensor::from_vec(combined, &[experts, cap, m]).unwrap();
         fast_decode(&combined, &routing, tokens).unwrap()
     });
